@@ -3,8 +3,8 @@
 
 use crate::engine::{BatchReport, JobStatus};
 use crate::spec::JobKind;
-use isdc_cache::json::escape;
 use isdc_core::StageKind;
+use isdc_telemetry::json::escape;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -205,7 +205,7 @@ pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::JobResult;
+    use crate::engine::{JobError, JobErrorKind, JobResult};
     use crate::spec::Job;
     use isdc_cache::CacheStats;
 
@@ -281,5 +281,54 @@ mod tests {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
         assert!(!json.contains("NaN"), "rates must be guarded: {json}");
+    }
+
+    #[test]
+    fn multi_line_error_messages_keep_the_document_valid_json() {
+        // A user oracle's failed `assert_eq!` panics with a multi-line
+        // message; the report must still parse and carry it intact.
+        let error = JobError {
+            job: 0,
+            shard: 0,
+            design: "tiny".into(),
+            kind: JobErrorKind::Panic,
+            message: "assertion failed\n  left: 1\n right: 2".into(),
+            retries: 0,
+            flight: Vec::new(),
+        };
+        let report = BatchReport {
+            jobs: vec![JobResult {
+                job: Job::sweep("tiny", vec![100.0]),
+                points: Vec::new(),
+                min_period_ps: None,
+                shards: 1,
+                elapsed: Duration::from_nanos(5),
+                status: JobStatus::Failed(error.clone()),
+                retries: 0,
+            }],
+            threads: 1,
+            shards: 1,
+            elapsed: Duration::from_nanos(5),
+            cache: CacheStats::default(),
+            metrics: isdc_telemetry::MetricsFrame::new(),
+        };
+        let doc = BatchBenchDoc {
+            mode: "cli",
+            designs: 1,
+            report: &report,
+            hardware_threads: 1,
+            repeats: 1,
+            serial_total: None,
+            cold_total: None,
+            scaling: &[ScalingRow { threads: 1, total: Duration::from_nanos(5) }],
+            bit_identical: false,
+        };
+        let json = render_batch_json(&doc);
+        // Escaped onto its row's line: strict readers reject raw newlines.
+        assert!(json.contains(r"assertion failed\n  left: 1\n right: 2"), "{json}");
+        let parsed = isdc_telemetry::json::parse(&json).expect("report must be valid JSON");
+        let run = &parsed["runs"].as_array().expect("runs array")[0];
+        assert_eq!(run["status"].as_str(), Some("failed"));
+        assert_eq!(run["error"].as_str(), Some(error.to_string().as_str()));
     }
 }

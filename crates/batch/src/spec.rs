@@ -21,12 +21,11 @@
 //! Sweep jobs give either an explicit `periods` array (run in the given
 //! order — ascending recommended, so shards warm-start internally) or a
 //! `from`/`to`/`points` linear grid. Unknown keys are ignored so the format
-//! can grow. The codec is hand-rolled on [`isdc_cache::json`] (the build
-//! environment has no `serde_json`).
+//! can grow. The codec streams over [`isdc_telemetry::json::Parser`].
 
-use isdc_cache::json::{escape, Parser};
 use isdc_core::linear_grid;
 use isdc_techlib::Picos;
+use isdc_telemetry::json::{escape, Parser};
 use std::fmt::Write as _;
 
 /// What a [`Job`] asks the engine to do with its design.
@@ -140,29 +139,11 @@ pub fn render_jobs(jobs: &[Job]) -> String {
 /// types, sweeps without periods, grids with `points == 0` or `to < from`,
 /// searches with a nonpositive tolerance or `lo > hi`.
 pub fn parse_jobs(json: &str) -> Result<Vec<Job>, String> {
-    let mut p = Parser::new(json);
     let mut jobs: Vec<Job> = Vec::new();
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
-        if key == "jobs" {
-            p.expect(b'[')?;
-            if !p.peek_close(b']') {
-                loop {
-                    jobs.push(parse_job(&mut p)?);
-                    if !p.comma_or_close(b']')? {
-                        break;
-                    }
-                }
-            }
-        } else {
-            p.skip_value()?;
-        }
-        if !p.comma_or_close(b'}')? {
-            break;
-        }
-    }
+    Parser::new(json).object(|p, key| match key.as_str() {
+        "jobs" => p.array(parse_job).map(|list| jobs = list),
+        _ => p.skip_value(),
+    })?;
     Ok(jobs)
 }
 
@@ -173,26 +154,11 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
     let (mut from, mut to, mut points) = (None, None, None);
     let (mut lo, mut hi, mut tol) = (None, None, None);
     let mut deadline_ms: Option<u64> = None;
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
+    p.object(|p, key| {
         match key.as_str() {
             "design" => design = Some(p.string()?),
             "type" => kind = Some(p.string()?),
-            "periods" => {
-                let mut list = Vec::new();
-                p.expect(b'[')?;
-                if !p.peek_close(b']') {
-                    loop {
-                        list.push(p.number()?);
-                        if !p.comma_or_close(b']')? {
-                            break;
-                        }
-                    }
-                }
-                periods = Some(list);
-            }
+            "periods" => periods = Some(p.array(Parser::number)?),
             "from" => from = Some(p.number()?),
             "to" => to = Some(p.number()?),
             "points" => points = Some(p.number()? as usize),
@@ -208,10 +174,8 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
             }
             _ => p.skip_value()?,
         }
-        if !p.comma_or_close(b'}')? {
-            break;
-        }
-    }
+        Ok(())
+    })?;
     let design = design.ok_or("job without a design name")?;
     let kind = match kind.as_deref() {
         Some("sweep") | None => {
@@ -314,5 +278,18 @@ mod tests {
         let jobs = parse_jobs(json).unwrap();
         assert_eq!(jobs, vec![Job::sweep("d", vec![1500.0])]);
         assert_eq!(parse_jobs(r#"{"jobs":[]}"#).unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn standard_string_escapes_decode() {
+        let jobs = parse_jobs(
+            r#"{"jobs":[{"design":"\u0063rc32","periods":[1500]},
+                        {"design":"tab\tname","periods":[1500]}]}"#,
+        )
+        .unwrap();
+        assert_eq!(jobs[0].design, "crc32");
+        assert_eq!(jobs[1].design, "tab\tname");
+        let awkward = vec![Job::sweep("two\nlines \"q\" \\ \u{1}", vec![1500.0])];
+        assert_eq!(parse_jobs(&render_jobs(&awkward)).unwrap(), awkward);
     }
 }

@@ -20,91 +20,9 @@
 //! missing ones are skipped with a note; `--require` turns absence into a
 //! failure (CI passes the artifacts it just generated).
 
-use isdc_cache::json::Parser;
-use std::collections::BTreeMap;
+use isdc_telemetry::json::{flatten, Value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// A minimal JSON value tree for the gate's read-only inspection.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Number(f64),
-    Bool(bool),
-    Text(String),
-    Array(Vec<Value>),
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser::new(text);
-        parse_value(&mut p)
-    }
-
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    fn number(&self, key: &str) -> Option<f64> {
-        match self.get(key) {
-            Some(Value::Number(x)) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn text(&self, key: &str) -> Option<&str> {
-        match self.get(key) {
-            Some(Value::Text(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn array(&self, key: &str) -> Option<&[Value]> {
-        match self.get(key) {
-            Some(Value::Array(items)) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn parse_value(p: &mut Parser<'_>) -> Result<Value, String> {
-    match p.peek() {
-        Some(b'{') => {
-            p.expect(b'{')?;
-            let mut map = BTreeMap::new();
-            if !p.peek_close(b'}') {
-                loop {
-                    let key = p.string()?;
-                    p.expect(b':')?;
-                    map.insert(key, parse_value(p)?);
-                    if !p.comma_or_close(b'}')? {
-                        break;
-                    }
-                }
-            }
-            Ok(Value::Object(map))
-        }
-        Some(b'[') => {
-            p.expect(b'[')?;
-            let mut items = Vec::new();
-            if !p.peek_close(b']') {
-                loop {
-                    items.push(parse_value(p)?);
-                    if !p.comma_or_close(b']')? {
-                        break;
-                    }
-                }
-            }
-            Ok(Value::Array(items))
-        }
-        Some(b'"') => p.string().map(Value::Text),
-        Some(b't') | Some(b'f') => p.boolean().map(Value::Bool),
-        _ => p.number().map(Value::Number),
-    }
-}
 
 /// One floor violation (or pass) line.
 struct Check {
@@ -122,49 +40,11 @@ impl Check {
     }
 }
 
-/// Flattens a document into the `path -> number` map
-/// [`isdc_telemetry::attribute`] diffs. Array elements that are objects
-/// with a `"name"` field use the name (not the index) as their path
-/// segment, so per-design rows stay aligned across reordered documents.
-fn flatten(value: &Value, path: &str, out: &mut BTreeMap<String, f64>) {
-    let join = |segment: &str| {
-        if path.is_empty() {
-            segment.to_string()
-        } else {
-            format!("{path}/{segment}")
-        }
-    };
-    match value {
-        Value::Number(x) => {
-            out.insert(path.to_string(), *x);
-        }
-        Value::Object(map) => {
-            for (key, child) in map {
-                flatten(child, &join(key), out);
-            }
-        }
-        Value::Array(items) => {
-            for (i, item) in items.iter().enumerate() {
-                let segment = match item.text("name") {
-                    Some(name) => name.to_string(),
-                    None => i.to_string(),
-                };
-                flatten(item, &join(&segment), out);
-            }
-        }
-        Value::Bool(_) | Value::Text(_) => {}
-    }
-}
-
 /// The ranked regression attribution printed when a floor goes red:
 /// which metrics moved between the baseline and current document, by
 /// contribution to the wall-clock delta.
 fn attribution_report(baseline: &Value, current: &Value) -> String {
-    let mut old = BTreeMap::new();
-    let mut new = BTreeMap::new();
-    flatten(baseline, "", &mut old);
-    flatten(current, "", &mut new);
-    let (total, rows) = isdc_telemetry::attribute(&old, &new);
+    let (total, rows) = isdc_telemetry::attribute(&flatten(baseline), &flatten(current));
     isdc_telemetry::render_attribution(total, &rows, 15)
 }
 
@@ -177,21 +57,21 @@ fn geomean(values: &[f64]) -> f64 {
 
 /// Floors for one (bench, mode) pair, straight from floors.json.
 fn floors_for<'a>(floors: &'a Value, bench: &str, mode: &str) -> Result<&'a Value, String> {
-    floors
-        .get(bench)
-        .and_then(|b| b.get(mode))
-        .ok_or_else(|| format!("floors.json has no entry for bench `{bench}` mode `{mode}`"))
+    match &floors[bench][mode] {
+        Value::Null => Err(format!("floors.json has no entry for bench `{bench}` mode `{mode}`")),
+        entry => Ok(entry),
+    }
 }
 
 fn floor_number(entry: &Value, key: &str) -> Result<f64, String> {
-    entry.number(key).ok_or_else(|| format!("floors entry lacks `{key}`"))
+    entry[key].as_f64().ok_or_else(|| format!("floors entry lacks `{key}`"))
 }
 
 fn gate_solver(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(), String> {
-    let mode = doc.text("mode").unwrap_or("full");
+    let mode = doc["mode"].as_str().unwrap_or("full");
     let entry = floors_for(floors, "solver", mode)?;
-    let designs = doc.array("designs").ok_or("solver doc lacks `designs`")?;
-    let speedups: Vec<f64> = designs.iter().filter_map(|d| d.number("speedup")).collect();
+    let designs = doc["designs"].as_array().ok_or("solver doc lacks `designs`")?;
+    let speedups: Vec<f64> = designs.iter().filter_map(|d| d["speedup"].as_f64()).collect();
     if speedups.is_empty() {
         return Err("solver doc has no per-design speedups".into());
     }
@@ -212,19 +92,19 @@ fn gate_solver(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(
     // dense emission, i.e. a ratio of 0.5 is a 2x constraint-count cut.
     let crc32 = designs
         .iter()
-        .find(|d| d.text("name") == Some("crc32"))
+        .find(|d| d["name"].as_str() == Some("crc32"))
         .ok_or("solver doc lacks a crc32 design row")?;
     checks.push(Check {
         bench: "solver",
         label: format!("solver[{mode}] crc32 LP pruning ratio"),
         floor: floor_number(entry, "pruning_ratio_min")?,
-        actual: crc32.number("pruning_ratio").ok_or("crc32 row lacks `pruning_ratio`")?,
+        actual: crc32["pruning_ratio"].as_f64().ok_or("crc32 row lacks `pruning_ratio`")?,
     });
     // The bulk-retarget drain rows: batched vs the retained serial
     // reference, plus the structural attestation that batching batches
     // (never more Dijkstra passes than augmenting paths).
-    let drain = doc.array("drain").ok_or("solver doc lacks `drain` (bulk-retarget rows)")?;
-    let drain_speedups: Vec<f64> = drain.iter().filter_map(|d| d.number("speedup")).collect();
+    let drain = doc["drain"].as_array().ok_or("solver doc lacks `drain` (bulk-retarget rows)")?;
+    let drain_speedups: Vec<f64> = drain.iter().filter_map(|d| d["speedup"].as_f64()).collect();
     if drain_speedups.is_empty() {
         return Err("solver doc has no drain speedups".into());
     }
@@ -235,9 +115,9 @@ fn gate_solver(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(
         actual: drain_speedups.iter().copied().fold(f64::INFINITY, f64::min),
     });
     for row in drain {
-        let n = row.number("n").unwrap_or(0.0);
-        let dijkstras = row.number("dijkstras_batched").ok_or("drain row lacks dijkstras")?;
-        let paths = row.number("paths").ok_or("drain row lacks paths")?;
+        let n = row["n"].as_f64().unwrap_or(0.0);
+        let dijkstras = row["dijkstras_batched"].as_f64().ok_or("drain row lacks dijkstras")?;
+        let paths = row["paths"].as_f64().ok_or("drain row lacks paths")?;
         if dijkstras > paths {
             return Err(format!("drain row n={n}: {dijkstras} Dijkstras exceed {paths} paths"));
         }
@@ -246,31 +126,31 @@ fn gate_solver(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(
 }
 
 fn gate_cache(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(), String> {
-    let mode = doc.text("mode").unwrap_or("full");
+    let mode = doc["mode"].as_str().unwrap_or("full");
     let entry = floors_for(floors, "cache", mode)?;
     for key in ["warm_speedup_vs_uncached", "warm_speedup_vs_cold"] {
         checks.push(Check {
             bench: "cache",
             label: format!("cache[{mode}] {key}"),
             floor: floor_number(entry, key)?,
-            actual: doc.number(key).ok_or_else(|| format!("cache doc lacks `{key}`"))?,
+            actual: doc[key].as_f64().ok_or_else(|| format!("cache doc lacks `{key}`"))?,
         });
     }
     Ok(())
 }
 
 fn gate_sweep(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(), String> {
-    let mode = doc.text("mode").unwrap_or("full");
+    let mode = doc["mode"].as_str().unwrap_or("full");
     let entry = floors_for(floors, "sweep", mode)?;
     for key in ["speedup_vs_cold", "speedup_vs_independent"] {
         checks.push(Check {
             bench: "sweep",
             label: format!("sweep[{mode}] {key}"),
             floor: floor_number(entry, key)?,
-            actual: doc.number(key).ok_or_else(|| format!("sweep doc lacks `{key}`"))?,
+            actual: doc[key].as_f64().ok_or_else(|| format!("sweep doc lacks `{key}`"))?,
         });
     }
-    drain_sanity(doc.array("runs").unwrap_or(&[]), "sweep run")?;
+    drain_sanity(doc["runs"].as_array().unwrap_or(&[]), "sweep run")?;
     Ok(())
 }
 
@@ -282,7 +162,7 @@ fn gate_sweep(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
 fn drain_sanity(rows: &[Value], what: &str) -> Result<(), String> {
     for (i, row) in rows.iter().enumerate() {
         let (Some(dijkstras), Some(paths)) =
-            (row.number("drain_dijkstras"), row.number("drain_paths"))
+            (row["drain_dijkstras"].as_f64(), row["drain_paths"].as_f64())
         else {
             continue;
         };
@@ -294,32 +174,34 @@ fn drain_sanity(rows: &[Value], what: &str) -> Result<(), String> {
 }
 
 fn gate_batch(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(), String> {
-    let mode = doc.text("mode").unwrap_or("full");
+    let mode = doc["mode"].as_str().unwrap_or("full");
     let entry = floors_for(floors, "batch", mode)?;
-    if doc.get("bit_identical") != Some(&Value::Bool(true)) {
+    if doc["bit_identical"] != Value::Bool(true) {
         return Err("batch doc does not attest bit_identical: true".into());
     }
     // Robustness attestation: a bench that dropped jobs, or only survived
     // via the retry machinery, is not a valid measurement. The fields are
     // required — their absence means the document predates them.
     for key in ["jobs_failed", "jobs_retried", "jobs_timed_out"] {
-        match doc.number(key) {
+        match doc[key].as_f64() {
             None => return Err(format!("batch doc lacks `{key}`")),
             Some(n) if n != 0.0 => return Err(format!("batch doc attests {key} = {n}, want 0")),
             Some(_) => {}
         }
     }
-    let hardware = doc.number("hardware_threads").unwrap_or(1.0);
-    let max_threads = doc.number("max_threads_measured").ok_or("batch doc lacks scaling")?;
-    let best = doc
-        .array("scaling")
-        .and_then(|rows| rows.iter().find(|r| r.number("threads") == Some(max_threads)).cloned())
+    let hardware = doc["hardware_threads"].as_f64().unwrap_or(1.0);
+    let max_threads = doc["max_threads_measured"].as_f64().ok_or("batch doc lacks scaling")?;
+    let best = doc["scaling"]
+        .as_array()
+        .and_then(|rows| rows.iter().find(|r| r["threads"].as_f64() == Some(max_threads)).cloned())
         .ok_or("batch doc lacks the max-threads scaling row")?;
     checks.push(Check {
         bench: "batch",
         label: format!("batch[{mode}] speedup vs cold @ {max_threads} threads"),
         floor: floor_number(entry, "vs_cold_at_max_threads")?,
-        actual: best.number("speedup_vs_cold").ok_or("batch scaling row lacks speedup_vs_cold")?,
+        actual: best["speedup_vs_cold"]
+            .as_f64()
+            .ok_or("batch scaling row lacks speedup_vs_cold")?,
     });
     // Wall-clock scaling against the serial session sweep is gated to what
     // the measuring hardware can express: a 1-core container cannot scale,
@@ -333,11 +215,11 @@ fn gate_batch(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
             "batch[{mode}] speedup vs serial @ {max_threads} threads ({hardware} hw threads)"
         ),
         floor,
-        actual: doc
-            .number("speedup_at_max_threads")
+        actual: doc["speedup_at_max_threads"]
+            .as_f64()
             .ok_or("batch doc lacks speedup_at_max_threads")?,
     });
-    drain_sanity(doc.array("runs").unwrap_or(&[]), "batch run")?;
+    drain_sanity(doc["runs"].as_array().unwrap_or(&[]), "batch run")?;
     Ok(())
 }
 
@@ -401,7 +283,7 @@ fn main() -> ExitCode {
             continue;
         }
         match load(&path) {
-            Ok(doc) if doc.text("mode") == Some("cli") => {
+            Ok(doc) if doc["mode"].as_str() == Some("cli") => {
                 // A one-off `isdc-cli batch --out` measurement has no
                 // baselines and no bit-identity attestation; it is not a
                 // regression-gateable document.
@@ -475,15 +357,6 @@ mod tests {
                  "drain": [{{"n": 64, "speedup": 2.0, "dijkstras_batched": 3, "paths": 9}}]}}"#
         ))
         .unwrap()
-    }
-
-    #[test]
-    fn flatten_keys_arrays_by_row_name() {
-        let mut flat = BTreeMap::new();
-        flatten(&doc(500.0, 4.0), "", &mut flat);
-        assert_eq!(flat.get("designs/crc32/warm_ns"), Some(&500.0));
-        assert_eq!(flat.get("designs/sha256/speedup"), Some(&3.0));
-        assert_eq!(flat.get("drain/0/paths"), Some(&9.0), "unnamed rows fall back to indices");
     }
 
     #[test]

@@ -47,15 +47,14 @@
 //! oracle is foreign, not corrupt: it is left untouched on disk.
 //!
 //! Floats are written in Rust's shortest-roundtrip form, so a
-//! save/load cycle reproduces bit-identical `f64`s. The codec is hand-rolled
-//! on [`crate::json`] because the build environment cannot fetch
-//! `serde_json`; it accepts any whitespace and ignores unknown object keys,
-//! so the format can grow.
+//! save/load cycle reproduces bit-identical `f64`s. The codec streams over
+//! [`isdc_telemetry::json::Parser`]; it accepts any whitespace and ignores
+//! unknown object keys, so the format can grow.
 
 use crate::fingerprint::Fingerprint;
-use crate::json::{escape as escape_json, Parser};
 use crate::store::{CachedDelay, DelayCache, StoredPotentials};
 use isdc_faults::FaultKind;
+use isdc_telemetry::json::{escape, Parser};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -101,21 +100,20 @@ fn split_footer(data: &str) -> Result<(&str, Option<u32>), String> {
 }
 
 /// Best-effort peek at the body's `version` field without mutating
-/// anything; `None` when the body is malformed (the merge will report it).
+/// anything; `None` when the body is malformed before it (the merge will
+/// report it).
 fn peek_version(json: &str) -> Option<u64> {
-    let mut p = Parser::new(json);
-    p.expect(b'{').ok()?;
-    loop {
-        let key = p.string().ok()?;
-        p.expect(b':').ok()?;
-        if key == "version" {
-            return Some(p.number().ok()? as u64);
+    let mut version = None;
+    // `object` stops at the first error, so returning one ends the walk as
+    // soon as the version is read: the rest of the body may be torn.
+    let _ = Parser::new(json).object(|p, key| {
+        if key != "version" {
+            return p.skip_value();
         }
-        p.skip_value().ok()?;
-        if !p.comma_or_close(b'}').ok()? {
-            return None;
-        }
-    }
+        version = p.number().ok().map(|v| v as u64);
+        Err(String::new())
+    });
+    version
 }
 
 /// Why a snapshot failed to load, classified for the recovery policy.
@@ -158,7 +156,7 @@ impl DelayCache {
         let mut out = String::new();
         out.push_str("{\"version\":");
         let _ = write!(out, "{SNAPSHOT_VERSION}");
-        let _ = write!(out, ",\"oracle\":\"{}\"", escape_json(oracle));
+        let _ = write!(out, ",\"oracle\":\"{}\"", escape(oracle));
         out.push_str(",\"entries\":[");
         for (i, (fp, entry)) in self.entries().into_iter().enumerate() {
             if i > 0 {
@@ -206,16 +204,12 @@ impl DelayCache {
     /// delays measured by one downstream flow must not be replayed against
     /// another.
     pub fn merge_json(&self, json: &str, oracle: &str) -> Result<usize, String> {
-        let mut p = Parser::new(json);
         // Parse fully before touching the cache, so a rejected snapshot
         // (bad tag, malformed tail) merges nothing.
         let mut parsed: Vec<(Fingerprint, CachedDelay)> = Vec::new();
         let mut potentials: Vec<(Fingerprint, StoredPotentials)> = Vec::new();
         let mut tagged: Option<String> = None;
-        p.expect(b'{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
+        Parser::new(json).object(|p, key| {
             match key.as_str() {
                 "version" => {
                     let v = p.number()? as u64;
@@ -232,34 +226,12 @@ impl DelayCache {
                     }
                     tagged = Some(tag);
                 }
-                "entries" => {
-                    p.expect(b'[')?;
-                    if !p.peek_close(b']') {
-                        loop {
-                            parsed.push(parse_entry(&mut p)?);
-                            if !p.comma_or_close(b']')? {
-                                break;
-                            }
-                        }
-                    }
-                }
-                "potentials" => {
-                    p.expect(b'[')?;
-                    if !p.peek_close(b']') {
-                        loop {
-                            potentials.push(parse_potentials(&mut p)?);
-                            if !p.comma_or_close(b']')? {
-                                break;
-                            }
-                        }
-                    }
-                }
+                "entries" => parsed = p.array(parse_entry)?,
+                "potentials" => potentials = p.array(parse_potentials)?,
                 _ => p.skip_value()?,
             }
-            if !p.comma_or_close(b'}')? {
-                break;
-            }
-        }
+            Ok(())
+        })?;
         if tagged.is_none() {
             return Err("snapshot has no oracle tag".to_string());
         }
@@ -392,40 +364,22 @@ impl DelayCache {
 fn parse_entry(p: &mut Parser<'_>) -> Result<(Fingerprint, CachedDelay), String> {
     let mut fp: Option<Fingerprint> = None;
     let mut entry = CachedDelay { delay_ps: 0.0, aig_depth: 0, and_count: 0, arrivals: Vec::new() };
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
+    p.object(|p, key| {
         match key.as_str() {
-            "key" => {
-                let s = p.string()?;
-                fp = Some(Fingerprint::parse(&s).ok_or_else(|| format!("bad fingerprint `{s}`"))?);
-            }
+            "key" => fp = Some(parse_fingerprint(p)?),
             "delay_ps" => entry.delay_ps = p.number()?,
             "aig_depth" => entry.aig_depth = p.number()? as u32,
             "and_count" => entry.and_count = p.number()? as usize,
             "arrivals" => {
-                p.expect(b'[')?;
-                if !p.peek_close(b']') {
-                    loop {
-                        p.expect(b'[')?;
-                        let idx = p.number()? as u32;
-                        p.expect(b',')?;
-                        let ps = p.number()?;
-                        p.expect(b']')?;
-                        entry.arrivals.push((idx, ps));
-                        if !p.comma_or_close(b']')? {
-                            break;
-                        }
-                    }
-                }
+                entry.arrivals = p.array(|p| match p.array(Parser::number)?[..] {
+                    [idx, ps] => Ok((idx as u32, ps)),
+                    _ => Err("an arrival must be an [index, ps] pair".to_string()),
+                })?;
             }
             _ => p.skip_value()?,
         }
-        if !p.comma_or_close(b'}')? {
-            break;
-        }
-    }
+        Ok(())
+    })?;
     let fp = fp.ok_or("entry without key")?;
     Ok((fp, entry))
 }
@@ -433,35 +387,22 @@ fn parse_entry(p: &mut Parser<'_>) -> Result<(Fingerprint, CachedDelay), String>
 fn parse_potentials(p: &mut Parser<'_>) -> Result<(Fingerprint, StoredPotentials), String> {
     let mut fp: Option<Fingerprint> = None;
     let mut stored = StoredPotentials { clock_ps: 0.0, pi: Vec::new() };
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
+    p.object(|p, key| {
         match key.as_str() {
-            "key" => {
-                let s = p.string()?;
-                fp = Some(Fingerprint::parse(&s).ok_or_else(|| format!("bad fingerprint `{s}`"))?);
-            }
+            "key" => fp = Some(parse_fingerprint(p)?),
             "clock_ps" => stored.clock_ps = p.number()?,
-            "pi" => {
-                p.expect(b'[')?;
-                if !p.peek_close(b']') {
-                    loop {
-                        stored.pi.push(p.number()? as i64);
-                        if !p.comma_or_close(b']')? {
-                            break;
-                        }
-                    }
-                }
-            }
+            "pi" => stored.pi = p.array(|p| Ok(p.number()? as i64))?,
             _ => p.skip_value()?,
         }
-        if !p.comma_or_close(b'}')? {
-            break;
-        }
-    }
+        Ok(())
+    })?;
     let fp = fp.ok_or("potentials without key")?;
     Ok((fp, stored))
+}
+
+fn parse_fingerprint(p: &mut Parser<'_>) -> Result<Fingerprint, String> {
+    let s = p.string()?;
+    Fingerprint::parse(&s).ok_or_else(|| format!("bad fingerprint `{s}`"))
 }
 
 #[cfg(test)]
@@ -500,7 +441,7 @@ mod tests {
         let cache = sample();
         let path = std::env::temp_dir()
             .join(format!("isdc-cache-persist-test-{}.json", std::process::id()));
-        cache.save(&path, "synthesis").unwrap();
+        save(&cache, &path);
         let restored = DelayCache::new();
         assert_eq!(restored.load(&path, "synthesis").unwrap(), 2);
         assert_eq!(restored.entries(), cache.entries());
@@ -610,6 +551,17 @@ mod tests {
         assert!(restored.is_empty());
     }
 
+    /// Snapshot writes consult the process-global fault plan, which
+    /// `injected_truncate_write_fault_produces_a_detectable_torn_file`
+    /// arms; every other save goes through [`save`] and this lock, so none
+    /// can consume that fault on a parallel test thread.
+    static SAVE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn save(cache: &DelayCache, path: &Path) {
+        let _serial = SAVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        cache.save(path, "synthesis").unwrap();
+    }
+
     /// A unique temp path per test so `cargo test`'s parallel threads
     /// never collide.
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -620,7 +572,7 @@ mod tests {
     /// start: nothing merged, file moved aside to `.corrupt`, no panic.
     fn assert_quarantined(tag: &str, mangle: impl FnOnce(Vec<u8>) -> Vec<u8>) {
         let path = temp_path(tag);
-        sample().save(&path, "synthesis").unwrap();
+        save(&sample(), &path);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, mangle(bytes)).unwrap();
         let cold = DelayCache::new();
@@ -634,7 +586,7 @@ mod tests {
         assert!(!path.exists(), "{tag}: the bad file must be moved out of the way");
         assert!(cold.is_empty(), "{tag}: nothing may merge from a corrupt file ({reason})");
         // The quarantined path is free again: a fresh save+load succeeds.
-        sample().save(&path, "synthesis").unwrap();
+        save(&sample(), &path);
         assert_eq!(cold.load_resilient(&path, "synthesis"), SnapshotLoad::Loaded { entries: 2 });
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&moved);
@@ -645,7 +597,7 @@ mod tests {
         let path = temp_path("footer");
         let cache = sample();
         cache.store_potentials(Fingerprint(0xabc), 2500.0, vec![0, -1]);
-        cache.save(&path, "synthesis").unwrap();
+        save(&cache, &path);
         let data = std::fs::read_to_string(&path).unwrap();
         assert!(data.contains("\"version\":3"));
         assert!(data.trim_end().lines().last().unwrap().starts_with("#crc32:"), "{data}");
@@ -707,7 +659,7 @@ mod tests {
     #[test]
     fn foreign_oracle_snapshot_is_not_quarantined() {
         let path = temp_path("foreign");
-        sample().save(&path, "synthesis").unwrap();
+        save(&sample(), &path);
         let cold = DelayCache::new();
         let outcome = cold.load_resilient(&path, "aig-depth");
         let SnapshotLoad::ColdStart { reason, quarantined } = outcome else {
@@ -762,6 +714,7 @@ mod tests {
     #[test]
     fn injected_truncate_write_fault_produces_a_detectable_torn_file() {
         let path = temp_path("fault-torn");
+        let serial = SAVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         isdc_faults::install(isdc_faults::FaultPlan::new().with(
             "snapshot/write",
             0,
@@ -769,6 +722,7 @@ mod tests {
         ));
         let save_result = sample().save(&path, "synthesis");
         isdc_faults::clear();
+        drop(serial);
         save_result.expect("a torn write reports success — the crash hides the loss");
         let cold = DelayCache::new();
         let outcome = cold.load_resilient(&path, "synthesis");

@@ -229,14 +229,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disarmed_checkpoints_pass() {
-        assert!(!armed());
-        assert!(checkpoint().is_ok());
-        assert!(!cancelled());
-        assert!(current().is_none());
-    }
-
-    #[test]
     fn cancel_trips_installed_scope_only_while_it_lives() {
         let token = CancelToken::new();
         assert!(!token.is_cancelled());

@@ -4,7 +4,9 @@
 //! than a relaxed atomic load plus a branch.
 //!
 //! Its own test binary, so the counting global allocator cannot affect any
-//! other test process. The timing bound is loose (unoptimized test
+//! other test process. The armed count is process-global too, so the
+//! disarmed-state assertions live here rather than beside the unit tests
+//! that install scopes. The timing bound is loose (unoptimized test
 //! builds); the zero-allocations assertion is the one that regresses first
 //! if work sneaks in front of the armed gate.
 
@@ -37,6 +39,7 @@ fn allocations() -> u64 {
 #[test]
 fn disarmed_checkpoints_allocate_nothing() {
     assert!(!isdc_cancel::armed(), "guard assumes no scope is installed");
+    assert!(isdc_cancel::current().is_none(), "no scope installed, so no current token");
     const CALLS: u64 = 100_000;
     let before = allocations();
     let t = Instant::now();

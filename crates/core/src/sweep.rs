@@ -30,6 +30,7 @@ use crate::scheduler::ScheduleError;
 use crate::session::{IsdcSession, SessionRun};
 use isdc_synth::DelayOracle;
 use isdc_techlib::Picos;
+use isdc_telemetry::json::escape;
 use isdc_telemetry::MetricsFrame;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -370,7 +371,7 @@ pub fn render_sweep_json(
     let session_total = total(session_points);
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"sweep\",\n");
-    let _ = writeln!(out, "  \"design\": \"{design}\",\n  \"nodes\": {nodes},");
+    let _ = writeln!(out, "  \"design\": \"{}\",\n  \"nodes\": {nodes},", escape(design));
     let _ = writeln!(out, "  \"mode\": \"{mode}\",\n  \"points\": {},", session_points.len());
     let _ = writeln!(out, "  \"session_total_ns\": {session_total},");
     for (name, points) in baselines {

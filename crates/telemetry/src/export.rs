@@ -10,47 +10,9 @@
 //!   `chrome://tracing`. Tracks map to threads (`tid`), so each batch
 //!   worker renders as its own named row.
 
-use crate::trace::{ArgValue, EventKind, Trace};
-
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_str_value(out: &mut String, s: &str) {
-    out.push('"');
-    escape_json(s, out);
-    out.push('"');
-}
-
-/// Allocating form of [`escape_json`], shared with the flight recorder's
-/// and run report's line renderers.
-pub(crate) fn escaped(s: &str) -> String {
-    let mut out = String::new();
-    escape_json(s, &mut out);
-    out
-}
-
-fn push_arg_value(out: &mut String, v: &ArgValue) {
-    match v {
-        ArgValue::U64(n) => out.push_str(&n.to_string()),
-        ArgValue::I64(n) => out.push_str(&n.to_string()),
-        // Debug formatting keeps a trailing `.0` on integral floats so a
-        // re-read classifies them as floats again (still valid JSON).
-        ArgValue::F64(x) if x.is_finite() => out.push_str(&format!("{x:?}")),
-        ArgValue::F64(_) => out.push_str("null"),
-        ArgValue::Str(s) => push_str_value(out, s),
-    }
-}
+use crate::json::{self, escape, Value};
+use crate::trace::{ArgValue, Event, EventKind, Trace};
+use std::fmt::Write as _;
 
 fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
     out.push('{');
@@ -58,9 +20,16 @@ fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
         if i > 0 {
             out.push(',');
         }
-        push_str_value(out, k);
-        out.push(':');
-        push_arg_value(out, v);
+        let _ = write!(out, "\"{}\":", escape(k));
+        let _ = match v {
+            ArgValue::U64(n) => write!(out, "{n}"),
+            ArgValue::I64(n) => write!(out, "{n}"),
+            // Debug formatting keeps a trailing `.0` on integral floats so
+            // a re-read classifies them as floats again (still valid JSON).
+            ArgValue::F64(x) if x.is_finite() => write!(out, "{x:?}"),
+            ArgValue::F64(_) => write!(out, "null"),
+            ArgValue::Str(s) => write!(out, "\"{}\"", escape(s)),
+        };
     }
     out.push('}');
 }
@@ -78,26 +47,33 @@ fn kind_code(kind: EventKind) -> &'static str {
 pub fn render_jsonl(trace: &Trace) -> String {
     let mut out = String::new();
     for (id, name) in trace.tracks.iter().enumerate() {
-        out.push_str(&format!("{{\"kind\":\"track\",\"track\":{id},\"name\":"));
-        push_str_value(&mut out, name);
-        out.push_str("}\n");
+        let _ =
+            writeln!(out, "{{\"kind\":\"track\",\"track\":{id},\"name\":\"{}\"}}", escape(name));
     }
     for e in &trace.events {
-        out.push_str(&format!(
-            "{{\"kind\":\"{}\",\"seq\":{},\"track\":{},\"name\":",
-            kind_code(e.kind),
-            e.seq,
-            e.track
-        ));
-        push_str_value(&mut out, e.name);
-        out.push_str(&format!(",\"t_ns\":{}", e.t_ns));
-        if !e.args.is_empty() {
-            out.push_str(",\"args\":");
-            push_args(&mut out, &e.args);
-        }
-        out.push_str("}\n");
+        push_event_line(&mut out, e);
+        out.push('\n');
     }
     out
+}
+
+/// One JSONL event object (no newline): the line format shared by
+/// [`render_jsonl`] and the flight recorder's dumps.
+pub(crate) fn push_event_line(out: &mut String, e: &Event) {
+    let _ = write!(
+        out,
+        "{{\"kind\":\"{}\",\"seq\":{},\"track\":{},\"name\":\"{}\",\"t_ns\":{}",
+        kind_code(e.kind),
+        e.seq,
+        e.track,
+        escape(e.name),
+        e.t_ns
+    );
+    if !e.args.is_empty() {
+        out.push_str(",\"args\":");
+        push_args(out, &e.args);
+    }
+    out.push('}');
 }
 
 /// Renders a trace in Chrome `trace_event` JSON-array format. Load the
@@ -112,20 +88,22 @@ pub fn render_chrome_trace(trace: &Trace) -> String {
          \"args\":{\"name\":\"isdc\"}}",
     );
     for (id, name) in trace.tracks.iter().enumerate() {
-        out.push_str(&format!(
-            ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{id},\"name\":\"thread_name\",\"args\":{{\"name\":"
-        ));
-        push_str_value(&mut out, name);
-        out.push_str("}}");
+        let _ = write!(
+            out,
+            ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{id},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            escape(name)
+        );
     }
     for e in &trace.events {
         let ts_us = e.t_ns as f64 / 1000.0;
-        out.push_str(&format!(
-            ",\n{{\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{ts_us:.3},\"name\":",
+        let _ = write!(
+            out,
+            ",\n{{\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{ts_us:.3},\"name\":\"{}\"",
             kind_code(e.kind),
-            e.track
-        ));
-        push_str_value(&mut out, e.name);
+            e.track,
+            escape(e.name)
+        );
         // Instant events need a scope; "t" (thread) keeps them on their
         // track's row in Perfetto.
         if e.kind == EventKind::Instant {
@@ -163,13 +141,13 @@ pub enum OwnedArg {
 impl OwnedArg {
     /// Classifies a JSON number from its raw text, mirroring how
     /// [`render_jsonl`] prints the typed [`ArgValue`]s.
-    fn classify(raw: &str, value: f64) -> OwnedArg {
+    fn classify(raw: &str) -> Option<OwnedArg> {
         if let Ok(n) = raw.parse::<u64>() {
-            OwnedArg::U64(n)
+            Some(OwnedArg::U64(n))
         } else if let Ok(n) = raw.parse::<i64>() {
-            OwnedArg::I64(n)
+            Some(OwnedArg::I64(n))
         } else {
-            OwnedArg::F64(value)
+            raw.parse().ok().map(OwnedArg::F64)
         }
     }
 }
@@ -191,227 +169,6 @@ pub struct OwnedEvent {
     pub args: Vec<(String, OwnedArg)>,
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON value parser for re-reading our own JSONL output. Not a
-// general-purpose parser: enough of RFC 8259 to round-trip what
-// render_jsonl emits, with clear errors on anything malformed.
-
-enum Json {
-    Obj(Vec<(String, Json)>),
-    // Array payloads are only traversed by tests (the chrome-trace
-    // self-check); JSONL lines are all objects.
-    Arr(#[allow(dead_code)] Vec<Json>),
-    Str(String),
-    // Numbers keep their raw text so argument values can be re-typed
-    // (u64 vs i64 vs f64) without precision loss.
-    Num(f64, String),
-    // Booleans/nulls are parsed for completeness but nothing in the
-    // trace schema reads their payload.
-    Bool(#[allow(dead_code)] bool),
-    Null,
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(_, raw) => raw.parse::<u64>().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(|v| Json::Num(v, text.to_string()))
-            .map_err(|_| self.err("bad number"))
-    }
-
-    fn finish(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(self.err("trailing garbage"))
-        }
-    }
-}
-
 /// Parses a JSONL trace file produced by [`render_jsonl`] back into
 /// events and the track-name table. Returns a line-tagged error for
 /// anything malformed.
@@ -422,83 +179,51 @@ pub fn parse_jsonl(text: &str) -> Result<(Vec<OwnedEvent>, Vec<String>), String>
         if line.trim().is_empty() {
             continue;
         }
-        let mut parser = Parser::new(line);
-        let value = parser
-            .value()
-            .and_then(|v| parser.finish().map(|()| v))
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing \"kind\"", lineno + 1))?;
-        match kind {
+        let err = |msg: String| format!("line {}: {msg}", lineno + 1);
+        let value = json::parse(line).map_err(err)?;
+        let text_field =
+            |key: &str| value[key].as_str().ok_or_else(|| err(format!("missing \"{key}\"")));
+        let int_field =
+            |key: &str| value[key].as_u64().ok_or_else(|| err(format!("missing \"{key}\"")));
+        let kind = match text_field("kind")? {
             "track" => {
-                let id = value
-                    .get("track")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("line {}: track line missing id", lineno + 1))?
-                    as usize;
-                let name = value
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {}: track line missing name", lineno + 1))?;
+                let id = int_field("track")? as usize;
                 if tracks.len() <= id {
                     tracks.resize(id + 1, String::new());
                 }
-                tracks[id] = name.to_string();
+                tracks[id] = text_field("name")?.to_string();
+                continue;
             }
-            "B" | "E" | "i" => {
-                let event_kind = match kind {
-                    "B" => EventKind::Begin,
-                    "E" => EventKind::End,
-                    _ => EventKind::Instant,
-                };
-                let field = |key: &str| {
-                    value
-                        .get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("line {}: missing \"{key}\"", lineno + 1))
-                };
-                let mut args = Vec::new();
-                match value.get("args") {
-                    None => {}
-                    Some(Json::Obj(fields)) => {
-                        for (key, v) in fields {
-                            let arg = match v {
-                                Json::Str(s) => OwnedArg::Str(s.clone()),
-                                Json::Num(x, raw) => OwnedArg::classify(raw, *x),
-                                Json::Null => OwnedArg::Null,
-                                _ => {
-                                    return Err(format!(
-                                        "line {}: unsupported arg value for \"{key}\"",
-                                        lineno + 1
-                                    ))
-                                }
-                            };
-                            args.push((key.clone(), arg));
-                        }
-                    }
-                    Some(_) => {
-                        return Err(format!("line {}: \"args\" must be an object", lineno + 1))
-                    }
-                }
-                events.push(OwnedEvent {
-                    seq: field("seq")?,
-                    track: field("track")? as u32,
-                    kind: event_kind,
-                    name: value
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("line {}: missing \"name\"", lineno + 1))?
-                        .to_string(),
-                    t_ns: field("t_ns")?,
-                    args,
-                });
-            }
-            other => {
-                return Err(format!("line {}: unknown event kind {other:?}", lineno + 1));
-            }
-        }
+            "B" => EventKind::Begin,
+            "E" => EventKind::End,
+            "i" => EventKind::Instant,
+            other => return Err(err(format!("unknown event kind {other:?}"))),
+        };
+        let args = match &value["args"] {
+            Value::Null => Vec::new(),
+            Value::Object(fields) => fields
+                .iter()
+                .map(|(key, v)| {
+                    let arg = match v {
+                        Value::String(s) => Some(OwnedArg::Str(s.clone())),
+                        Value::Number(raw) => OwnedArg::classify(raw),
+                        Value::Null => Some(OwnedArg::Null),
+                        _ => None,
+                    };
+                    arg.map(|arg| (key.clone(), arg))
+                        .ok_or_else(|| err(format!("unsupported arg value for \"{key}\"")))
+                })
+                .collect::<Result<_, _>>()?,
+            _ => return Err(err("\"args\" must be an object".to_string())),
+        };
+        events.push(OwnedEvent {
+            seq: int_field("seq")?,
+            track: int_field("track")? as u32,
+            kind,
+            name: text_field("name")?.to_string(),
+            t_ns: int_field("t_ns")?,
+            args,
+        });
     }
     events.sort_by_key(|e| e.seq);
     Ok((events, tracks))
@@ -507,7 +232,6 @@ pub fn parse_jsonl(text: &str) -> Result<(Vec<OwnedEvent>, Vec<String>), String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Event;
 
     fn sample_trace() -> Trace {
         Trace {
@@ -574,18 +298,15 @@ mod tests {
         let text = render_chrome_trace(&trace);
         // Parse with our own JSON parser: array of objects, metadata
         // first, microsecond timestamps.
-        let mut parser = Parser::new(&text);
-        let value = parser.value().and_then(|v| parser.finish().map(|()| v)).expect("valid JSON");
-        let Json::Arr(items) = value else { panic!("chrome trace must be a JSON array") };
+        let value = json::parse(&text).expect("valid JSON");
+        let items = value.as_array().expect("chrome trace must be a JSON array");
         assert_eq!(items.len(), 2 + 3, "process meta + thread meta + 3 events");
-        assert_eq!(items[0].get("ph").and_then(Json::as_str), Some("M"));
+        assert_eq!(items[0]["ph"].as_str(), Some("M"));
         let begin = &items[2];
-        assert_eq!(begin.get("ph").and_then(Json::as_str), Some("B"));
-        match begin.get("ts") {
-            Some(Json::Num(ts, _)) => assert!((ts - 1.0).abs() < 1e-9, "1000ns = 1.0us"),
-            _ => panic!("ts missing"),
-        }
-        assert!(begin.get("args").is_some());
+        assert_eq!(begin["ph"].as_str(), Some("B"));
+        let ts = begin["ts"].as_f64().expect("ts present");
+        assert!((ts - 1.0).abs() < 1e-9, "1000ns = 1.0us");
+        assert_ne!(begin["args"], Value::Null);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! `DelayCache::merge`, so batch workers record locally and the
 //! aggregator folds fleet totals bit-deterministically); and
 //! **exporters** to JSON-lines and Chrome `trace_event` format (loadable
-//! in [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`).
+//! in [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`). It also
+//! hosts [`json`], the one JSON codec every on-disk format goes through.
 //!
 //! Tracing is globally off by default. When disabled, the span hot path
 //! records nothing into the trace buffers — only a fixed-size entry into
@@ -35,6 +36,7 @@
 
 mod check;
 mod export;
+pub mod json;
 mod recorder;
 mod registry;
 mod report;

@@ -16,7 +16,7 @@
 //! enforces. Entries store only `&'static str` names and scalar
 //! arguments; string arguments from the full-trace API are dropped here.
 
-use crate::trace::{current_track, now_ns, EventKind};
+use crate::trace::{current_track, now_ns, ArgValue, Event, EventKind};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -76,45 +76,21 @@ impl FlightEvent {
     /// Renders the event as one JSONL object line (no trailing newline),
     /// the same dialect as [`crate::render_jsonl`] event lines.
     pub fn render_jsonl_line(&self, out: &mut String) {
-        use std::fmt::Write;
-        let kind = match self.kind {
-            EventKind::Begin => "B",
-            EventKind::End => "E",
-            EventKind::Instant => "i",
+        let arg = self.arg.map(|arg| match arg {
+            FlightArg::U64(k, v) => (k, ArgValue::U64(v)),
+            FlightArg::I64(k, v) => (k, ArgValue::I64(v)),
+            FlightArg::F64(k, v) => (k, ArgValue::F64(v)),
+            FlightArg::Str(k, v) => (k, ArgValue::Str(v.to_string())),
+        });
+        let event = Event {
+            seq: self.seq,
+            track: self.track,
+            kind: self.kind,
+            name: self.name,
+            t_ns: self.t_ns,
+            args: arg.into_iter().collect(),
         };
-        let _ = write!(
-            out,
-            "{{\"kind\":\"{kind}\",\"seq\":{},\"track\":{},\"name\":\"{}\",\"t_ns\":{}",
-            self.seq,
-            self.track,
-            crate::export::escaped(self.name),
-            self.t_ns
-        );
-        match self.arg {
-            Some(FlightArg::U64(k, v)) => {
-                let _ = write!(out, ",\"args\":{{\"{}\":{v}}}", crate::export::escaped(k));
-            }
-            Some(FlightArg::I64(k, v)) => {
-                let _ = write!(out, ",\"args\":{{\"{}\":{v}}}", crate::export::escaped(k));
-            }
-            Some(FlightArg::F64(k, v)) => {
-                if v.is_finite() {
-                    let _ = write!(out, ",\"args\":{{\"{}\":{v:?}}}", crate::export::escaped(k));
-                } else {
-                    let _ = write!(out, ",\"args\":{{\"{}\":null}}", crate::export::escaped(k));
-                }
-            }
-            Some(FlightArg::Str(k, v)) => {
-                let _ = write!(
-                    out,
-                    ",\"args\":{{\"{}\":\"{}\"}}",
-                    crate::export::escaped(k),
-                    crate::export::escaped(v)
-                );
-            }
-            None => {}
-        }
-        out.push('}');
+        crate::export::push_event_line(out, &event);
     }
 }
 

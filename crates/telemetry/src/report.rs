@@ -16,6 +16,7 @@
 //! and scopes (each frame is an independent run snapshot), histogram
 //! buckets likewise.
 
+use crate::json::escape;
 use crate::registry::{histogram_quantile, MetricValue, MetricsFrame};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -242,7 +243,7 @@ impl RunReport {
             let _ = write!(
                 out,
                 "\n    {{\"name\": \"{}\", \"ns\": {}, \"calls\": {}}}",
-                crate::export::escaped(&s.name),
+                escape(&s.name),
                 s.ns,
                 s.calls
             );
@@ -252,7 +253,7 @@ impl RunReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    \"{}\": {v}", crate::export::escaped(name));
+            let _ = write!(out, "\n    \"{}\": {v}", escape(name));
         }
         out.push_str("\n  },\n  \"quantiles\": [");
         for (i, q) in self.quantiles.iter().enumerate() {
@@ -262,7 +263,7 @@ impl RunReport {
             let _ = write!(
                 out,
                 "\n    {{\"name\": \"{}\", \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                crate::export::escaped(&q.name),
+                escape(&q.name),
                 q.count,
                 q.p50,
                 q.p95,

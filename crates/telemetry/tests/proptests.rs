@@ -2,8 +2,10 @@
 //! [`MetricsFrame::merge`] (the `DelayCache::merge` contract —
 //! commutative, associative, idempotent, with the empty frame as
 //! identity) and the partition-invariance that makes batch fleet totals
-//! bit-identical across thread counts.
+//! bit-identical across thread counts. Plus the trace and JSON codecs'
+//! round trips.
 
+use isdc_telemetry::json::{self, Value};
 use isdc_telemetry::{
     parse_jsonl, render_jsonl, ArgValue, Event, EventKind, MetricValue, MetricsFrame, OwnedArg,
     Trace, HISTOGRAM_BUCKETS,
@@ -52,6 +54,26 @@ const SPAN_NAMES: [&str; 5] = ["run", "solve", "mark", "fault", "emit \"q\""];
 const ARG_KEYS: [&str; 5] = ["n", "delta", "rate", "site", "design"];
 const ARG_STRS: [&str; 5] = ["crc\"32", "line\nbreak", "back\\slash\there", "ctl\u{1}", "πlain μs"];
 const TRACK_NAMES: [&str; 4] = ["main", "batch-worker-0", "worker \"τ\"", "t\n2"];
+
+/// A random string over every JSON escape class: quotes, backslashes,
+/// `/`, all 32 control characters, printable ASCII, and 2-, 3- and
+/// 4-byte UTF-8 (including U+2028, which JSON leaves unescaped).
+fn arbitrary_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u64>(), 0..40).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|d| {
+                let pick = (d >> 2) as u32;
+                match d % 4 {
+                    0 => ['"', '\\', '/'][pick as usize % 3],
+                    1 => char::from_u32(pick % 0x20).unwrap(),
+                    2 => char::from_u32(0x20 + pick % 0x5f).unwrap(),
+                    _ => ['é', 'π', '€', '\u{2028}', '\u{ffff}', '🦀'][pick as usize % 6],
+                }
+            })
+            .collect()
+    })
+}
 
 /// A random arg value covering every [`ArgValue`] kind, including
 /// negative/positive integers, fractional/huge/negative floats, and the
@@ -200,9 +222,11 @@ proptest! {
 
     /// `parse_jsonl(render_jsonl(trace))` is lossless for every event
     /// field and every [`ArgValue`] kind (up to the documented number
-    /// normalization), across multiple tracks and instant-event notes.
+    /// normalization), across multiple tracks, instant-event notes and an
+    /// arbitrary track name.
     #[test]
-    fn jsonl_round_trips_arbitrary_traces(trace in arbitrary_trace()) {
+    fn jsonl_round_trips_arbitrary_traces((mut trace, track) in (arbitrary_trace(), arbitrary_string())) {
+        trace.tracks.push(track);
         let text = render_jsonl(&trace);
         let (events, tracks) = parse_jsonl(&text).expect("own output must parse");
         prop_assert_eq!(&tracks, &trace.tracks);
@@ -246,5 +270,15 @@ proptest! {
         let err = parse_jsonl(truncated).expect_err("truncated input must not parse");
         let tag = format!("line {}:", line_idx + 1);
         prop_assert!(err.starts_with(&tag), "error {:?} should start with {:?}", err, tag);
+    }
+
+    /// The one escaper and the one reader agree on every string:
+    /// `parse(quote(escape(s))) == s`, and the escaped form holds no raw
+    /// control character, so it stays on one line of a JSONL file.
+    #[test]
+    fn escape_round_trips_through_parse(s in arbitrary_string()) {
+        let escaped = json::escape(&s);
+        prop_assert!(!escaped.chars().any(|c| c < ' '), "raw control char in {:?}", escaped);
+        prop_assert_eq!(json::parse(&format!("\"{escaped}\"")), Ok(Value::String(s)));
     }
 }
