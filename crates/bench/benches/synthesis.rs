@@ -1,11 +1,16 @@
 //! Downstream-simulator benchmarks: bit-blasting, optimization passes and
 //! STA — the per-subgraph cost that dominates ISDC's iteration time (the
 //! paper evaluates 16 subgraphs per iteration in parallel to amortize it).
+//!
+//! `oracle_layers` times the oracle's three layers one at a time on real
+//! netlists: the non-empty stages of the initial SDC schedule of crc32 and
+//! sha256 at their Table I clocks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use isdc_ir::{Graph, OpKind};
-use isdc_netlist::lower_graph;
-use isdc_synth::{evaluate_parallel, sta, SynthScript, SynthesisOracle};
+use isdc_core::run_sdc;
+use isdc_ir::{Graph, NodeId, OpKind};
+use isdc_netlist::{lower_graph, lower_subgraph, Aig};
+use isdc_synth::{evaluate_parallel, sta, OpDelayModel, SynthScript, SynthesisOracle};
 use isdc_techlib::TechLibrary;
 
 fn adder_chain(n: usize, width: u32) -> Graph {
@@ -87,5 +92,39 @@ fn bench_parallel_oracle(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lowering, bench_passes, bench_sta, bench_parallel_oracle);
+fn bench_oracle_layers(c: &mut Criterion) {
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let suite = isdc_benchsuite::suite();
+    let mut group = c.benchmark_group("oracle_layers");
+    group.sample_size(10);
+    for name in ["crc32", "sha256"] {
+        let b = suite.iter().find(|b| b.name == name).expect("present");
+        let (schedule, _) = run_sdc(&b.graph, &model, b.clock_period_ps).expect("feasible");
+        let stages: Vec<Vec<NodeId>> =
+            schedule.stages().into_iter().filter(|s| !s.is_empty()).collect();
+        let lowered: Vec<Aig> = stages.iter().map(|s| lower_subgraph(&b.graph, s).aig).collect();
+        let optimized: Vec<Aig> = lowered.iter().map(|a| SynthScript::resyn().run(a)).collect();
+        group.bench_function(BenchmarkId::new("lower", name), |bencher| {
+            bencher.iter(|| stages.iter().map(|s| lower_subgraph(&b.graph, s)).collect::<Vec<_>>());
+        });
+        group.bench_function(BenchmarkId::new("resyn", name), |bencher| {
+            bencher
+                .iter(|| lowered.iter().map(|a| SynthScript::resyn().run(a)).collect::<Vec<_>>());
+        });
+        group.bench_function(BenchmarkId::new("sta", name), |bencher| {
+            bencher.iter(|| optimized.iter().map(|a| sta::analyze(a, &lib)).collect::<Vec<_>>());
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_lowering,
+    bench_passes,
+    bench_sta,
+    bench_parallel_oracle,
+    bench_oracle_layers
+);
 criterion_main!(benches);

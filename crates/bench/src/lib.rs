@@ -104,6 +104,17 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
+/// Timing violations among post-synthesis slacks: how many are negative,
+/// and the worst (most negative) of them, `None` when every value meets
+/// timing. Unlike [`geomean`], nothing is clamped, so a violating row
+/// cannot hide behind clean ones.
+pub fn timing_violations(slacks: impl IntoIterator<Item = f64>) -> (usize, Option<f64>) {
+    slacks
+        .into_iter()
+        .filter(|&s| s < 0.0)
+        .fold((0, None), |(count, worst), s| (count + 1, Some(worst.map_or(s, |w: f64| w.min(s)))))
+}
+
 /// Pearson correlation coefficient of two equal-length series.
 ///
 /// # Panics
@@ -178,6 +189,13 @@ mod tests {
         assert_eq!(geomean(std::iter::empty::<f64>()), 0.0);
         // Zeros clamp to 1.
         assert!((geomean([0.0, 4.0]) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn timing_violations_count_and_keep_the_worst() {
+        assert_eq!(timing_violations([287.0, -606.0, 0.0, -1382.0, -910.0]), (3, Some(-1382.0)));
+        assert_eq!(timing_violations([0.0, 12.5]), (0, None));
+        assert_eq!(timing_violations(std::iter::empty()), (0, None));
     }
 
     #[test]

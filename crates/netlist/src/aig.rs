@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A literal: a reference to an AIG node with an optional complement.
 ///
@@ -81,6 +82,44 @@ pub enum AigNode {
     And(AigLit, AigLit),
 }
 
+/// The structural-hashing table: packed operand pair -> AND node index.
+///
+/// It is only ever probed and inserted, never iterated, so the hash function
+/// decides how fast a pair is found but never which node it maps to.
+type Strash = HashMap<u64, u32, BuildHasherDefault<StrashHasher>>;
+
+/// The strash key of a canonically ordered operand pair: `a << 32 | b`.
+fn strash_key(a: AigLit, b: AigLit) -> u64 {
+    u64::from(a.0) << 32 | u64::from(b.0)
+}
+
+/// A multiply-rotate hasher for strash keys.
+///
+/// The multiply spreads every key bit into the product's high bits; the
+/// rotate brings those down to the low bits the table indexes with, and
+/// keeps bits of both operands in the high bits it filters with. Only
+/// [`Hasher::write_u64`] is on the hot path. Keys are literals the graph
+/// itself numbered, so unlike SipHash it needs no defence against chosen
+/// keys: a hostile `.aag` file could at worst slow down its own parse.
+#[derive(Clone, Copy, Debug, Default)]
+struct StrashHasher(u64);
+
+impl Hasher for StrashHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// An and-inverter graph with structural hashing and constant folding.
 ///
 /// Every [`Aig::and`] call canonicalizes operand order, applies the local
@@ -107,17 +146,26 @@ pub struct Aig {
     nodes: Vec<AigNode>,
     inputs: Vec<u32>,
     outputs: Vec<AigLit>,
-    strash: HashMap<(AigLit, AigLit), u32>,
+    strash: Strash,
 }
 
 impl Aig {
     /// Creates an empty AIG (containing only the constant node).
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty AIG with room for `nodes` nodes, so a pass that
+    /// rebuilds a graph of known size neither regrows the node list nor
+    /// rehashes the strash table.
+    pub fn with_capacity(nodes: usize) -> Self {
+        let mut node_list = Vec::with_capacity(nodes.max(1));
+        node_list.push(AigNode::Const);
         Self {
-            nodes: vec![AigNode::Const],
+            nodes: node_list,
             inputs: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::new(),
+            strash: Strash::with_capacity_and_hasher(nodes, Default::default()),
         }
     }
 
@@ -178,12 +226,11 @@ impl Aig {
             return a;
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&idx) = self.strash.get(&(a, b)) {
-            return AigLit::new(idx, false);
-        }
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(AigNode::And(a, b));
-        self.strash.insert((a, b), idx);
+        let nodes = &mut self.nodes;
+        let idx = *self.strash.entry(strash_key(a, b)).or_insert_with(|| {
+            nodes.push(AigNode::And(a, b));
+            nodes.len() as u32 - 1
+        });
         AigLit::new(idx, false)
     }
 
@@ -322,7 +369,7 @@ impl Aig {
     /// returning the cleaned copy. Input ordinals are preserved (dangling
     /// inputs are kept so input ordering stays stable).
     pub fn sweep(&self) -> Aig {
-        let mut out = Aig::new();
+        let mut out = Aig::with_capacity(self.nodes.len());
         // Recreate all inputs in order.
         let mut map: Vec<Option<AigLit>> = vec![None; self.nodes.len()];
         map[0] = Some(AigLit::FALSE);

@@ -77,14 +77,15 @@ impl SynthScript {
 
     /// Runs every pass in order and returns the optimized AIG.
     pub fn run(&self, aig: &Aig) -> Aig {
-        let mut cur = aig.clone();
+        let mut cur: Option<Aig> = None;
         for pass in &self.passes {
-            cur = match pass {
-                Pass::Sweep => cur.sweep(),
-                Pass::Balance => balance(&cur),
-            };
+            let input = cur.as_ref().unwrap_or(aig);
+            cur = Some(match pass {
+                Pass::Sweep => input.sweep(),
+                Pass::Balance => balance(input),
+            });
         }
-        cur
+        cur.unwrap_or_else(|| aig.clone())
     }
 }
 
@@ -102,13 +103,19 @@ impl Default for SynthScript {
 /// complemented AND of complemented literals, OR chains are balanced by the
 /// same mechanism one level in.
 pub fn balance(aig: &Aig) -> Aig {
-    let mut out = Aig::new();
     let nodes = aig.nodes();
+    let mut out = Aig::with_capacity(nodes.len());
     // map[i] = literal in `out` equivalent to node i (positive polarity).
     let mut map: Vec<Option<AigLit>> = vec![None; nodes.len()];
     map[0] = Some(AigLit::FALSE);
     // Incrementally tracked AND-depths of `out` nodes (const node = 0).
-    let mut out_depths: Vec<u32> = vec![0];
+    let mut out_depths: Vec<u32> = Vec::with_capacity(nodes.len());
+    out_depths.push(0);
+    // Scratch reused across AND nodes: the flatten stack, the conjunction's
+    // leaves and the Huffman list of (depth, literal).
+    let mut stack: Vec<u32> = Vec::new();
+    let mut leaves: Vec<AigLit> = Vec::new();
+    let mut translated: Vec<(u32, AigLit)> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
         match node {
             AigNode::Const => {}
@@ -117,16 +124,14 @@ pub fn balance(aig: &Aig) -> Aig {
                 out_depths.push(0);
             }
             AigNode::And(..) => {
-                let leaves = flatten_conjunction(nodes, i as u32);
+                flatten_conjunction(nodes, i as u32, &mut stack, &mut leaves);
                 // Translate leaves into the new AIG with their depths.
-                let mut translated: Vec<(u32, AigLit)> = leaves
-                    .iter()
-                    .map(|l| {
-                        let lit = map[l.node() as usize].expect("topological order")
-                            ^ l.is_complemented();
-                        (out_depths[lit.node() as usize], lit)
-                    })
-                    .collect();
+                translated.clear();
+                translated.extend(leaves.iter().map(|l| {
+                    let lit =
+                        map[l.node() as usize].expect("topological order") ^ l.is_complemented();
+                    (out_depths[lit.node() as usize], lit)
+                }));
                 // Huffman-style: repeatedly combine the two shallowest.
                 translated.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
                 while translated.len() > 1 {
@@ -154,11 +159,18 @@ pub fn balance(aig: &Aig) -> Aig {
     out
 }
 
-/// Collects the flattened conjunction of node `root`, expanding through
-/// non-complemented AND operands (iteratively, to handle long chains).
-fn flatten_conjunction(nodes: &[AigNode], root: u32) -> Vec<AigLit> {
-    let mut leaves = Vec::new();
-    let mut stack = vec![root];
+/// Collects into `leaves` the flattened conjunction of node `root`,
+/// expanding through non-complemented AND operands (iteratively with
+/// `stack`, to handle long chains). Both buffers are cleared first.
+fn flatten_conjunction(
+    nodes: &[AigNode],
+    root: u32,
+    stack: &mut Vec<u32>,
+    leaves: &mut Vec<AigLit>,
+) {
+    leaves.clear();
+    stack.clear();
+    stack.push(root);
     while let Some(n) = stack.pop() {
         let AigNode::And(a, b) = nodes[n as usize] else {
             leaves.push(AigLit::positive(n));
@@ -174,7 +186,6 @@ fn flatten_conjunction(nodes: &[AigNode], root: u32) -> Vec<AigLit> {
             }
         }
     }
-    leaves
 }
 
 #[cfg(test)]
