@@ -48,7 +48,7 @@ fn bench_oracle_caching(c: &mut Criterion) {
         });
     });
     let warm = CachingOracle::new(&oracle);
-    evaluate_parallel(&warm, &graph, &subgraphs, 1);
+    evaluate_parallel(&warm, &graph, &subgraphs, 1).expect("no deadline is armed");
     group.bench_with_input(BenchmarkId::from_parameter("warm"), &subgraphs, |b, subs| {
         b.iter(|| evaluate_parallel(&warm, &graph, subs, 1));
     });
@@ -92,7 +92,7 @@ fn emit_cache_json(_c: &mut Criterion) {
         evaluate_parallel(&caching, &graph, &subgraphs, 1)
     });
     let warm_oracle = CachingOracle::new(&oracle);
-    evaluate_parallel(&warm_oracle, &graph, &subgraphs, 1);
+    evaluate_parallel(&warm_oracle, &graph, &subgraphs, 1).expect("no deadline is armed");
     let warm_ns = time_min_ns(runs, || evaluate_parallel(&warm_oracle, &graph, &subgraphs, 1));
     let stats = warm_oracle.stats();
     let json = format!(

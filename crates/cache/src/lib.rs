@@ -73,6 +73,6 @@ mod persist;
 mod store;
 
 pub use fingerprint::{canonicalize, CanonicalSubgraph, Fingerprint};
-pub use oracle::CachingOracle;
+pub use oracle::{CachingOracle, Lookups};
 pub use persist::{SnapshotLoad, OLDEST_SUPPORTED_SNAPSHOT_VERSION, SNAPSHOT_VERSION};
 pub use store::{CacheStats, CachedDelay, DelayCache, StoredPotentials};

@@ -4,6 +4,7 @@ use crate::fingerprint::{canonicalize, CanonicalSubgraph};
 use crate::store::{CacheStats, CachedDelay, DelayCache};
 use isdc_ir::{Graph, NodeId};
 use isdc_synth::{DelayOracle, DelayReport};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Wraps any [`DelayOracle`], memoizing evaluations by structural
@@ -46,6 +47,33 @@ pub struct CachingOracle<O> {
     inner: O,
     cache: Arc<DelayCache>,
     name: String,
+    lookups: Lookups,
+}
+
+/// The lookups made through one [`CachingOracle`]. Unlike
+/// [`CachingOracle::stats`], which reads the cache's totals, these count
+/// only this wrapper's own traffic, even when other oracles share the
+/// cache at the same time.
+#[derive(Debug, Default)]
+pub struct Lookups {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    inserts: AtomicU64,
+}
+
+impl Lookups {
+    /// The hits, misses and inserts counted since the previous call,
+    /// resetting them to zero. `evictions` is always 0: the cache evicts,
+    /// not the caller.
+    pub fn take(&self) -> CacheStats {
+        // Relaxed: plain statistics that publish no other data.
+        CacheStats {
+            hits: self.hits.swap(0, Ordering::Relaxed),
+            misses: self.misses.swap(0, Ordering::Relaxed),
+            inserts: self.inserts.swap(0, Ordering::Relaxed),
+            evictions: 0,
+        }
+    }
 }
 
 impl<O: DelayOracle> CachingOracle<O> {
@@ -58,7 +86,7 @@ impl<O: DelayOracle> CachingOracle<O> {
     /// or shared between oracles).
     pub fn with_cache(inner: O, cache: Arc<DelayCache>) -> Self {
         let name = format!("cached-{}", inner.name());
-        Self { inner, cache, name }
+        Self { inner, cache, name, lookups: Lookups::default() }
     }
 
     /// The shared cache handle.
@@ -74,6 +102,11 @@ impl<O: DelayOracle> CachingOracle<O> {
     /// Counter snapshot of the underlying cache.
     pub fn stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// This wrapper's own lookup counters.
+    pub fn lookups(&self) -> &Lookups {
+        &self.lookups
     }
 }
 
@@ -112,10 +145,13 @@ impl<O: DelayOracle> DelayOracle for CachingOracle<O> {
         isdc_faults::fire("oracle/eval");
         let canon = canonicalize(graph, members);
         if let Some(entry) = self.cache.get(canon.fingerprint) {
+            self.lookups.hits.fetch_add(1, Ordering::Relaxed);
             return report_from_entry(&canon, &entry);
         }
+        self.lookups.misses.fetch_add(1, Ordering::Relaxed);
         let report = self.inner.evaluate(graph, members);
         self.cache.insert(canon.fingerprint, entry_from_report(&canon, &report));
+        self.lookups.inserts.fetch_add(1, Ordering::Relaxed);
         report
     }
 
@@ -228,6 +264,11 @@ mod tests {
         let rb = b.evaluate(&g, &ops);
         assert_eq!(ra, rb);
         assert_eq!(cache.stats().hits, 1);
+        // Each wrapper counts only its own lookups; the cache counts both.
+        let (own_a, own_b) = (a.lookups().take(), b.lookups().take());
+        assert_eq!((own_a.hits, own_a.misses, own_a.inserts), (0, 1, 1));
+        assert_eq!((own_b.hits, own_b.misses, own_b.inserts), (1, 0, 0));
+        assert_eq!(a.lookups().take(), CacheStats::default(), "take resets");
     }
 
     #[test]
@@ -243,12 +284,12 @@ mod tests {
         let (g, ops) = adder_chain(6);
         let subgraphs: Vec<Vec<NodeId>> = (1..=6).map(|k| ops[..k].to_vec()).collect();
         let inner = SynthesisOracle::new(TechLibrary::sky130());
-        let serial = isdc_synth::evaluate_parallel(&inner, &g, &subgraphs, 1);
+        let serial = isdc_synth::evaluate_parallel(&inner, &g, &subgraphs, 1).unwrap();
         let cached = CachingOracle::new(inner);
-        let parallel = isdc_synth::evaluate_parallel(&cached, &g, &subgraphs, 4);
+        let parallel = isdc_synth::evaluate_parallel(&cached, &g, &subgraphs, 4).unwrap();
         assert_eq!(serial, parallel);
         // And fully warm:
-        let warm = isdc_synth::evaluate_parallel(&cached, &g, &subgraphs, 4);
+        let warm = isdc_synth::evaluate_parallel(&cached, &g, &subgraphs, 4).unwrap();
         assert_eq!(serial, warm);
         assert_eq!(cached.stats().hits, 6);
     }

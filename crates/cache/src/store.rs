@@ -60,6 +60,15 @@ impl CacheStats {
     }
 }
 
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.inserts += other.inserts;
+        self.evictions += other.evictions;
+    }
+}
+
 /// LP solver potentials learned for one (design, clock period) pair —
 /// exported by a scheduling run's initial solve and imported (after
 /// validation) to warm-start a later run of the same design. Stored and

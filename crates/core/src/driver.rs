@@ -3,29 +3,26 @@
 //! Ties everything together by composing the staged pipeline
 //! ([`crate::pipeline`]): the initial SDC solve, then `Extract -> Dedupe ->
 //! Evaluate -> Feedback -> Reformulate -> Solve` per iteration until
-//! register usage stabilizes. [`run_isdc`] is the one-shot entry point; the
-//! cross-run entry point is [`IsdcSession`](crate::IsdcSession), which
-//! drives the same pipeline but keeps the delay cache and LP potentials
-//! alive between runs.
+//! register usage stabilizes. [`run_isdc`] is the one-shot, uncached entry
+//! point; the memoized, cross-run entry point is
+//! [`IsdcSession`](crate::IsdcSession), which drives the same pipeline but
+//! keeps the delay cache and LP potentials alive between runs.
 
 use crate::delay::DelayMatrix;
 use crate::metrics;
 use crate::pipeline::{
     run_stage, Dedupe, Evaluate, Extract, Feedback, PipelineState, Reformulate, RunSeed, Solve,
-    StageKind, StageProfile,
 };
 use crate::schedule::Schedule;
 use crate::scheduler::IncrementalScheduler;
 use crate::scheduler::{schedule_with_matrix, ScheduleError};
 use crate::subgraph::{ExtractionConfig, ScoringStrategy, ShapeStrategy};
-use isdc_cache::{CacheStats, CachingOracle, DelayCache};
+use isdc_cache::{CacheStats, Lookups};
 use isdc_ir::Graph;
 use isdc_sdc::DrainStats;
 use isdc_synth::{DelayOracle, OpDelayModel};
 use isdc_techlib::Picos;
 use isdc_telemetry::{MetricValue, MetricsFrame};
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration for an ISDC run.
@@ -48,19 +45,6 @@ pub struct IsdcConfig {
     /// Stop after this many consecutive iterations without a register-usage
     /// change ("until a stable scheduling result is achieved").
     pub convergence_patience: usize,
-    /// Memoize downstream evaluations by structural fingerprint
-    /// ([`isdc_cache::CachingOracle`]). Extracted subgraphs overlap heavily
-    /// across iterations, so most lookups hit after the first iteration.
-    pub cache: bool,
-    /// Optional cache snapshot path: loaded (best-effort) before the run
-    /// and saved after it, so delay data survives across runs and sweeps.
-    /// Ignored unless [`IsdcConfig::cache`] is set.
-    pub cache_file: Option<PathBuf>,
-    /// Entry-capacity bound for the delay cache this run creates when
-    /// [`IsdcConfig::cache`] is set (segmented-LRU eviction — see
-    /// [`isdc_cache::DelayCache::with_capacity`]). `0` = unbounded.
-    /// Ignored when the caller supplies its own cache (sessions, batch).
-    pub cache_capacity: usize,
     /// Solve each iteration's LP incrementally ([`IncrementalScheduler`]):
     /// the difference system persists across iterations, only dirty timing
     /// pairs are re-emitted, and the min-cost-flow re-solve is warm-started
@@ -91,7 +75,7 @@ pub struct IsdcConfig {
 
 impl IsdcConfig {
     /// The paper's main-evaluation settings: fanout-driven windows, 16
-    /// subgraphs per iteration, at most 15 iterations, no memoization.
+    /// subgraphs per iteration, at most 15 iterations.
     pub fn paper_defaults(clock_period_ps: Picos) -> Self {
         Self {
             clock_period_ps,
@@ -101,19 +85,9 @@ impl IsdcConfig {
             shape: ShapeStrategy::Window,
             threads: 4,
             convergence_patience: 2,
-            cache: false,
-            cache_file: None,
-            cache_capacity: 0,
             incremental: true,
             iteration_metrics: true,
         }
-    }
-
-    /// Enables oracle memoization, optionally persisted at `file`.
-    pub fn with_cache(mut self, file: Option<PathBuf>) -> Self {
-        self.cache = true;
-        self.cache_file = file;
-        self
     }
 
     pub(crate) fn extraction(&self) -> ExtractionConfig {
@@ -144,11 +118,12 @@ pub struct IterationRecord {
     pub naive_estimation_error_pct: f64,
     /// Subgraphs evaluated in this iteration (0 for the initial schedule).
     pub subgraphs_evaluated: usize,
-    /// Oracle-cache hits recorded during this iteration (0 with caching
-    /// off). Counts every memoized lookup, including the metric snapshots.
+    /// Oracle-cache hits this run's own lookups made during this iteration
+    /// (0 without a cache, as in [`run_isdc`]). Counts every memoized
+    /// lookup, including the metric snapshots.
     pub cache_hits: u64,
-    /// Oracle-cache misses recorded during this iteration (0 with caching
-    /// off).
+    /// Oracle-cache misses this run's own lookups made during this
+    /// iteration (0 without a cache).
     pub cache_misses: u64,
     /// Wall-clock time spent building/updating and solving this iteration's
     /// LP (a subset of [`IterationRecord::elapsed`]). The cold-vs-warm gap
@@ -168,18 +143,6 @@ pub struct IterationRecord {
     pub elapsed: Duration,
 }
 
-impl IterationRecord {
-    /// Cache hits over lookups for this iteration, or 0.0 without lookups.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// The outcome of an ISDC run.
 #[derive(Clone, Debug)]
 pub struct IsdcResult {
@@ -189,19 +152,12 @@ pub struct IsdcResult {
     pub delays: DelayMatrix,
     /// One record per iteration, starting with the initial SDC schedule.
     pub history: Vec<IterationRecord>,
-    /// Final oracle-cache counters, when caching was enabled.
-    pub cache_stats: Option<CacheStats>,
-    /// Accumulated wall-clock cost of each pipeline stage across the run,
-    /// in [`StageKind::ALL`] order — a view over [`IsdcResult::metrics`]
-    /// (`stage/{name}/ns`, `stage/{name}/calls`).
-    pub stage_profile: Vec<(StageKind, StageProfile)>,
     /// Every metric the run recorded, as one mergeable telemetry frame:
-    /// per-stage wall-clock (`stage/*`), solver drain totals (`drain/*`),
-    /// iteration/subgraph counts (`run/*`), the LP solve-time histogram
-    /// (`solve/ns`) and — when caching was on — this run's share of cache
-    /// traffic (`cache/*`). [`IsdcResult::stage_profile`],
-    /// [`IsdcResult::drain_totals`] and [`IsdcResult::cache_stats`] are
-    /// views/summaries of the same underlying cells.
+    /// per-stage wall-clock (`stage/{name}/ns`, `stage/{name}/calls`),
+    /// solver drain totals (`drain/*`), iteration/subgraph counts
+    /// (`run/*`), the LP solve-time histogram (`solve/ns`) and — for a
+    /// memoized run — this run's own cache lookups (`cache/hits`,
+    /// `cache/misses`, `cache/inserts`).
     pub metrics: MetricsFrame,
     /// Total wall-clock scheduling time.
     pub total_time: Duration,
@@ -222,18 +178,6 @@ impl IsdcResult {
     pub fn iterations(&self) -> usize {
         self.history.len().saturating_sub(1)
     }
-
-    /// Accumulated SSP drain counters across every iteration's LP solve —
-    /// the run-level view of how much search the solver did (pairs with
-    /// the `solve` row of [`IsdcResult::stage_profile`], which holds the
-    /// wall-clock side).
-    pub fn drain_totals(&self) -> DrainStats {
-        let mut total = DrainStats::default();
-        for rec in &self.history {
-            total += rec.drain;
-        }
-        total
-    }
 }
 
 /// Runs plain (baseline) SDC scheduling: one LP solve on the naive delay
@@ -252,10 +196,11 @@ pub fn run_sdc(
     Ok((schedule, delays))
 }
 
-/// Runs the full ISDC loop.
+/// Runs the full ISDC loop once, without memoization.
 ///
 /// `model` provides the naive per-op delays (the initial matrix); `oracle`
-/// is the downstream tool that times extracted subgraphs.
+/// is the downstream tool that times extracted subgraphs. For memoized
+/// or persisted runs, use an [`IsdcSession`](crate::IsdcSession).
 ///
 /// # Errors
 ///
@@ -296,26 +241,7 @@ pub fn run_isdc<O: DelayOracle + ?Sized>(
     oracle: &O,
     config: &IsdcConfig,
 ) -> Result<IsdcResult, ScheduleError> {
-    if !config.cache {
-        return run_pipeline(graph, model, oracle, config, None, RunSeed::default())
-            .map(|o| o.result);
-    }
-    let cache = Arc::new(DelayCache::with_capacity(config.cache_capacity));
-    if let Some(path) = &config.cache_file {
-        // Best-effort: a missing, stale or foreign-oracle snapshot only
-        // costs misses. The oracle tag check inside `load` prevents
-        // replaying delays that a *different* downstream flow measured.
-        let _ = cache.load(path, oracle.name());
-    }
-    let caching = CachingOracle::with_cache(oracle, Arc::clone(&cache));
-    let result = run_pipeline(graph, model, &caching, config, Some(&cache), RunSeed::default())
-        .map(|o| o.result);
-    if result.is_ok() {
-        if let Some(path) = &config.cache_file {
-            let _ = cache.save(path, oracle.name());
-        }
-    }
-    result
+    run_pipeline(graph, model, oracle, config, None, RunSeed::default()).map(|o| o.result)
 }
 
 /// A completed run plus the cross-run assets [`crate::IsdcSession`] keeps.
@@ -332,23 +258,21 @@ pub(crate) struct PipelineOutcome {
     pub(crate) initial_warm: bool,
 }
 
-/// The full ISDC loop over the staged pipeline. `cache` (when present) is
-/// only read for per-iteration hit/miss accounting — lookups themselves go
-/// through `oracle`, which the caller has already wrapped if it wants
-/// memoization. `seed` warm-starts the initial LP solve.
+/// The full ISDC loop over the staged pipeline. When `oracle` is a fresh
+/// [`CachingOracle`](isdc_cache::CachingOracle) made for this run, pass its
+/// [`Lookups`] so the records and the frame count its traffic. `seed`
+/// warm-starts the initial LP solve.
 pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
     graph: &Graph,
     model: &OpDelayModel,
     oracle: &O,
     config: &IsdcConfig,
-    cache: Option<&DelayCache>,
+    lookups: Option<&Lookups>,
     seed: RunSeed<'_>,
 ) -> Result<PipelineOutcome, ScheduleError> {
     let _run_span = isdc_telemetry::span_f64("run", "clock_ps", config.clock_period_ps);
     let start = Instant::now();
-    let stats_now = || cache.map(|c| c.stats()).unwrap_or_default();
-    let run_stats_start = stats_now();
-    let mut stats_before = run_stats_start;
+    let mut run_lookups = CacheStats::default();
     let mut state = PipelineState::new(graph, model, oracle, config, seed)?;
     // The never-updated matrix is only consumed by the oracle metrics;
     // skip the O(pairs) copy when those are off.
@@ -370,8 +294,8 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
             drain: state.solver_drain(),
             metrics: config.iteration_metrics,
         },
-        &mut stats_before,
-        &stats_now,
+        lookups,
+        &mut run_lookups,
         start.elapsed(),
     )];
 
@@ -418,8 +342,8 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
                 drain: state.solver_drain(),
                 metrics: config.iteration_metrics,
             },
-            &mut stats_before,
-            &stats_now,
+            lookups,
+            &mut run_lookups,
             iter_start.elapsed(),
         ));
         if next_bits == prev_bits {
@@ -433,22 +357,11 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         prev_bits = next_bits;
     }
 
-    let stage_profile = state.profile();
     let mut metrics_frame = state.metrics_frame();
-    if cache.is_some() {
-        // This run's share of the (possibly shared) cache's traffic, as
-        // registry-shaped counters alongside the pipeline's own.
-        let final_stats = stats_now();
-        metrics_frame
-            .insert("cache/hits", MetricValue::Counter(final_stats.hits - run_stats_start.hits));
-        metrics_frame.insert(
-            "cache/misses",
-            MetricValue::Counter(final_stats.misses - run_stats_start.misses),
-        );
-        metrics_frame.insert(
-            "cache/inserts",
-            MetricValue::Counter(final_stats.inserts - run_stats_start.inserts),
-        );
+    if lookups.is_some() {
+        metrics_frame.insert("cache/hits", MetricValue::Counter(run_lookups.hits));
+        metrics_frame.insert("cache/misses", MetricValue::Counter(run_lookups.misses));
+        metrics_frame.insert("cache/inserts", MetricValue::Counter(run_lookups.inserts));
     }
     let total_time = start.elapsed();
     // Run reports use this as the wall-clock denominator (stage times
@@ -459,8 +372,6 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
             schedule: state.schedule().clone(),
             delays: state.delays().clone(),
             history,
-            cache_stats: cache.map(|c| c.stats()),
-            stage_profile,
             metrics: metrics_frame,
             total_time,
         },
@@ -490,8 +401,8 @@ fn snapshot<O: DelayOracle + ?Sized>(
     naive: Option<&DelayMatrix>,
     oracle: &O,
     solve: SolveInfo,
-    stats_before: &mut CacheStats,
-    stats_now: &dyn Fn() -> CacheStats,
+    lookups: Option<&Lookups>,
+    run_lookups: &mut CacheStats,
     elapsed: Duration,
 ) -> IterationRecord {
     let (error_pct, naive_error_pct) = if solve.metrics {
@@ -506,23 +417,23 @@ fn snapshot<O: DelayOracle + ?Sized>(
         // consulted at all, which is the whole saving.
         (0.0, 0.0)
     };
-    let stats_after = stats_now();
-    let record = IterationRecord {
+    // Taken after the metric snapshots, whose lookups count too.
+    let taken = lookups.map(Lookups::take).unwrap_or_default();
+    *run_lookups += taken;
+    IterationRecord {
         iteration: solve.iteration,
         register_bits: schedule.register_bits(graph),
         num_stages: schedule.num_stages(),
         estimation_error_pct: error_pct,
         naive_estimation_error_pct: naive_error_pct,
         subgraphs_evaluated: solve.subgraphs_evaluated,
-        cache_hits: stats_after.hits - stats_before.hits,
-        cache_misses: stats_after.misses - stats_before.misses,
+        cache_hits: taken.hits,
+        cache_misses: taken.misses,
         solver_time: solve.solver_time,
         solver_warm: solve.solver_warm,
         drain: solve.drain,
         elapsed,
-    };
-    *stats_before = stats_after;
-    record
+    }
 }
 
 #[cfg(test)]
@@ -640,21 +551,24 @@ mod tests {
         let oracle = SynthesisOracle::new(lib);
         let g = datapath();
         let plain = run_isdc(&g, &model, &oracle, &quick_config(2500.0)).unwrap();
-        let cached_config = quick_config(2500.0).with_cache(None);
-        let cached = run_isdc(&g, &model, &oracle, &cached_config).unwrap();
+        let mut session = crate::IsdcSession::new(&g, &model, &oracle);
+        let run = session.run(&quick_config(2500.0)).unwrap();
+        let cached = &run.result;
         assert_eq!(cached.schedule, plain.schedule, "memoization must not change results");
         assert_eq!(
             cached.history.iter().map(|r| r.register_bits).collect::<Vec<_>>(),
             plain.history.iter().map(|r| r.register_bits).collect::<Vec<_>>(),
         );
-        let stats = cached.cache_stats.expect("stats recorded when caching");
+        let stats = session.cache().stats();
         assert!(stats.hits > 0, "iterations repeat subgraphs, so hits must occur: {stats:?}");
-        assert!(plain.cache_stats.is_none());
+        assert_eq!(plain.metrics.counter("cache/hits"), None, "run_isdc is uncached");
         let total_hits: u64 = cached.history.iter().map(|r| r.cache_hits).sum();
         let total_misses: u64 = cached.history.iter().map(|r| r.cache_misses).sum();
         assert_eq!(total_hits, stats.hits, "per-iteration hits must sum to the total");
         assert_eq!(total_misses, stats.misses);
-        assert!(cached.history.last().unwrap().cache_hit_rate() > 0.0);
+        assert_eq!((run.cache_hits, run.cache_misses), (stats.hits, stats.misses));
+        assert_eq!(cached.metrics.counter("cache/inserts"), Some(stats.inserts));
+        assert!(cached.history.last().unwrap().cache_hits > 0);
     }
 
     #[test]

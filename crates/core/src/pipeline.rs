@@ -15,9 +15,9 @@
 //! ```
 //!
 //! Each stage is a unit struct implementing [`Stage`]; [`run_stage`] times
-//! an invocation and accumulates a per-stage wall-clock profile
-//! ([`PipelineState::profile`], surfaced as
-//! [`IsdcResult::stage_profile`](crate::IsdcResult)). The driver composes
+//! an invocation into the run's metrics (`stage/{name}/ns` and
+//! `stage/{name}/calls` in [`PipelineState::metrics_frame`], surfaced as
+//! [`IsdcResult::metrics`](crate::IsdcResult)). The driver composes
 //! the stages in the fixed order above; tests and tools can run any stage
 //! in isolation against a `PipelineState`.
 //!
@@ -35,7 +35,7 @@ use crate::scheduler::{
 use crate::subgraph::{extract_subgraphs, Subgraph};
 use isdc_ir::{Graph, NodeId};
 use isdc_sdc::DrainStats;
-use isdc_synth::{evaluate_parallel_cancellable, DelayOracle, DelayReport, OpDelayModel};
+use isdc_synth::{evaluate_parallel, DelayOracle, DelayReport, OpDelayModel};
 use isdc_telemetry::{Counter, Histogram, MetricsFrame, Registry};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -106,25 +106,10 @@ impl StageKind {
     }
 }
 
-/// Accumulated wall-clock cost of one stage across a run.
-///
-/// Since the telemetry refactor this is a *view*: the authoritative
-/// cells live in the run's metrics [`Registry`] (`stage/{name}/ns` and
-/// `stage/{name}/calls`), and [`PipelineState::profile`] reads them
-/// back into this shape.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageProfile {
-    /// Total time spent in the stage.
-    pub total: Duration,
-    /// Number of invocations (the initial solve counts for `Solve`).
-    pub invocations: usize,
-}
-
-/// The registry-backed metric handles of one run. Every counter that
-/// used to be a bespoke field (per-stage wall-clock, drain totals,
-/// subgraph counts) records through here, so
-/// [`IsdcResult::metrics`](crate::IsdcResult) is one coherent frame and
-/// the legacy accessors are views over the same cells.
+/// The registry-backed metric handles of one run: per-stage wall-clock,
+/// drain totals, LP sparsification and subgraph counts all record through
+/// here, so [`IsdcResult::metrics`](crate::IsdcResult) is one coherent
+/// frame.
 pub(crate) struct RunMetrics {
     registry: Registry,
     stage_ns: [Counter; 6],
@@ -202,13 +187,6 @@ impl RunMetrics {
         self.lp_dominance_pruned.add(delta.dominance_pruned);
         self.lp_bucket_deduped.add(delta.bucket_deduped);
     }
-
-    fn stage_profile(&self, kind: StageKind) -> StageProfile {
-        StageProfile {
-            total: Duration::from_nanos(self.stage_ns[kind.index()].get()),
-            invocations: self.stage_calls[kind.index()].get() as usize,
-        }
-    }
 }
 
 /// One ISDC iteration pipeline step: consumes `In`, produces `Out`, reading
@@ -221,7 +199,7 @@ pub trait Stage<O: DelayOracle + ?Sized> {
     type In;
     /// What the stage produces.
     type Out;
-    /// Which fixed stage this is (names the profile row).
+    /// Which fixed stage this is (names its `stage/{name}/*` metrics).
     const KIND: StageKind;
     /// Executes the stage.
     ///
@@ -236,7 +214,7 @@ pub trait Stage<O: DelayOracle + ?Sized> {
     ) -> Result<Self::Out, ScheduleError>;
 }
 
-/// Runs one stage, recording its wall-clock cost in the state's profile.
+/// Runs one stage, recording its wall-clock cost in the state's metrics.
 /// Returns the stage output and the elapsed time of this invocation.
 ///
 /// # Errors
@@ -434,12 +412,6 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         self.initial_engine.take()
     }
 
-    /// The per-stage wall-clock profile accumulated so far, in
-    /// [`StageKind::ALL`] order — a view over the run's metrics registry.
-    pub fn profile(&self) -> Vec<(StageKind, StageProfile)> {
-        StageKind::ALL.iter().map(|&k| (k, self.metrics.stage_profile(k))).collect()
-    }
-
     /// The run's metric handles (driver-internal).
     pub(crate) fn metrics(&self) -> &RunMetrics {
         &self.metrics
@@ -521,13 +493,9 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Evaluate {
     ) -> Result<Self::Out, ScheduleError> {
         let node_sets: Vec<Vec<NodeId>> = input.iter().map(|s| s.nodes.clone()).collect();
         state.metrics.subgraphs_evaluated.add(node_sets.len() as u64);
-        let reports = evaluate_parallel_cancellable(
-            state.oracle,
-            state.graph,
-            &node_sets,
-            state.config.threads,
-        )
-        .map_err(|_| ScheduleError::DeadlineExceeded)?;
+        let reports =
+            evaluate_parallel(state.oracle, state.graph, &node_sets, state.config.threads)
+                .map_err(|_| ScheduleError::DeadlineExceeded)?;
         Ok((input, reports))
     }
 }
@@ -667,11 +635,13 @@ mod tests {
         assert!(warm, "monotone feedback must keep the engine warm");
         assert!(state.schedule().register_bits(&g) <= bits_before);
 
-        // Every stage shows up in the profile exactly once (Solve twice:
+        // Every stage shows up in the frame exactly once (Solve twice:
         // the initial solve counts too).
-        for (kind, cell) in state.profile() {
+        let frame = state.metrics_frame();
+        for kind in StageKind::ALL {
             let expected = if kind == StageKind::Solve { 2 } else { 1 };
-            assert_eq!(cell.invocations, expected, "{}", kind.name());
+            let calls = frame.counter_or_zero(&format!("stage/{}/calls", kind.name()));
+            assert_eq!(calls, expected, "{}", kind.name());
         }
     }
 

@@ -1,8 +1,9 @@
 //! Persistent cross-run scheduling sessions.
 //!
-//! [`run_isdc`](crate::run_isdc) is one-shot: the structural-fingerprint
-//! delay cache and the warm-started LP engine it builds die with the call.
-//! An [`IsdcSession`] keeps both alive **across runs** of the same design:
+//! [`run_isdc`](crate::run_isdc) is one-shot and uncached: the
+//! warm-started LP engine it builds dies with the call. An [`IsdcSession`]
+//! memoizes the oracle through a structural-fingerprint delay cache and
+//! keeps both alive **across runs** of the same design:
 //!
 //! - the [`DelayCache`] memoizes downstream oracle evaluations, so a re-run
 //!   (or the next point of a clock-period sweep, whose extracted subgraphs
@@ -20,8 +21,9 @@
 //!
 //! Sessions persist to disk through the same snapshot file the cache uses
 //! ([`IsdcSession::save_snapshot`] / [`IsdcSession::load_snapshot`]):
-//! format version 2 stores learned potentials alongside the delay entries,
-//! under the same oracle identity tag.
+//! the current format (version 3, [`isdc_cache::SNAPSHOT_VERSION`]) stores
+//! learned potentials alongside the delay entries, under the same oracle
+//! identity tag.
 //!
 //! # Examples
 //!
@@ -66,7 +68,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// One completed run within a session: the full [`IsdcResult`] plus the
-/// session-level warm-start and cache accounting for this run alone.
+/// warm-start and cache accounting for this run alone.
 #[derive(Clone, Debug)]
 pub struct SessionRun {
     /// The clock period this run scheduled for.
@@ -75,36 +77,14 @@ pub struct SessionRun {
     /// potentials learned by an earlier run (always false for the first run
     /// of a fresh, snapshotless session).
     pub warm_start: bool,
-    /// Oracle-cache hits recorded during this run.
+    /// Oracle-cache hits of this run's own lookups, not counting other
+    /// sessions that share the cache.
     pub cache_hits: u64,
-    /// Oracle-cache misses recorded during this run.
+    /// Oracle-cache misses of this run's own lookups.
     pub cache_misses: u64,
     /// The run itself — bit-identical to what an independent cold
     /// [`run_isdc`](crate::run_isdc) at the same config produces.
     pub result: IsdcResult,
-}
-
-impl SessionRun {
-    /// Cache hits over lookups for this run, or 0.0 without lookups.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Iterations whose LP re-solve was warm-started.
-    pub fn warm_solves(&self) -> usize {
-        self.result.history.iter().filter(|r| r.solver_warm).count()
-    }
-
-    /// Iterations solved cold (including the initial solve unless it
-    /// imported potentials).
-    pub fn cold_solves(&self) -> usize {
-        self.result.history.len() - self.warm_solves()
-    }
 }
 
 /// A persistent scheduling engine for one design: runs the staged ISDC
@@ -161,8 +141,8 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
 
     /// Merges a persisted snapshot (delay entries and potentials) into the
     /// session, returning the number of delay entries merged. Tagged with
-    /// the session oracle's identity, like
-    /// [`run_isdc`](crate::run_isdc)'s `cache_file`.
+    /// the session oracle's identity, so a snapshot another oracle wrote
+    /// is refused.
     ///
     /// # Errors
     ///
@@ -190,10 +170,9 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
         self.cache.save(path, self.oracle.name())
     }
 
-    /// Runs the full ISDC loop at `config`, reusing everything earlier runs
-    /// learned. `config.cache` / `config.cache_file` are ignored: a session
-    /// always memoizes through its own cache, and persistence goes through
-    /// [`IsdcSession::save_snapshot`].
+    /// Runs the full ISDC loop at `config`, memoized through the session's
+    /// cache and reusing everything earlier runs learned. Persistence goes
+    /// through [`IsdcSession::save_snapshot`].
     ///
     /// # Errors
     ///
@@ -202,8 +181,8 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
         // Wraps the pipeline's own "run" span, so the gap between the two
         // is exactly the session's seed/handoff overhead.
         let _span = isdc_telemetry::span_f64("session:run", "clock_ps", config.clock_period_ps);
+        // A fresh wrapper per run, so its lookup counters are this run's.
         let caching = CachingOracle::with_cache(self.oracle, Arc::clone(&self.cache));
-        let stats_before = self.cache.stats();
         // Strongest seed first: the previous run's engine, retargeted to
         // this run's period (cloned, so an infeasible probe cannot consume
         // it). Fallback — e.g. a fresh session restored from a snapshot —
@@ -222,7 +201,7 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
             export_engine: config.incremental,
         };
         let mut outcome =
-            run_pipeline(self.graph, self.model, &caching, config, Some(&self.cache), seed)?;
+            run_pipeline(self.graph, self.model, &caching, config, Some(caching.lookups()), seed)?;
         if let Some(engine) = outcome.initial_engine.take() {
             self.engine = Some(engine);
         }
@@ -230,12 +209,12 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
             self.cache.store_potentials(self.design_key, config.clock_period_ps, pi.clone());
         }
         self.runs += 1;
-        let stats_after = self.cache.stats();
+        let frame = &outcome.result.metrics;
         Ok(SessionRun {
             clock_period_ps: config.clock_period_ps,
             warm_start: outcome.initial_warm,
-            cache_hits: stats_after.hits - stats_before.hits,
-            cache_misses: stats_after.misses - stats_before.misses,
+            cache_hits: frame.counter_or_zero("cache/hits"),
+            cache_misses: frame.counter_or_zero("cache/misses"),
             result: outcome.result,
         })
     }
@@ -304,8 +283,8 @@ mod tests {
         assert!(second.warm_start, "same-clock re-run must import its own potentials");
         assert!(second.result.history[0].solver_warm, "the initial solve itself goes warm");
         assert_eq!(second.cache_misses, 0, "every evaluation must replay from cache");
-        assert!(second.cache_hit_rate() == 1.0);
-        assert_eq!(second.warm_solves(), second.result.history.len());
+        assert!(second.cache_hits > 0);
+        assert!(second.result.history.iter().all(|r| r.solver_warm));
         assert_eq!(first.result.schedule, second.result.schedule);
     }
 

@@ -28,6 +28,7 @@ use crate::pipeline::StageKind;
 use crate::schedule::Schedule;
 use crate::scheduler::ScheduleError;
 use crate::session::{IsdcSession, SessionRun};
+use isdc_cache::CacheStats;
 use isdc_synth::DelayOracle;
 use isdc_techlib::Picos;
 use isdc_telemetry::json::escape;
@@ -74,12 +75,8 @@ pub struct SweepPoint {
 impl SweepPoint {
     /// Cache hits over lookups, or 0.0 without lookups.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        CacheStats { hits: self.cache_hits, misses: self.cache_misses, ..CacheStats::default() }
+            .hit_rate()
     }
 
     /// A drain counter (`drain/dijkstras`, `drain/paths`, ...) from the
@@ -113,13 +110,7 @@ impl SweepPoint {
     }
 
     fn from_session_run(run: &SessionRun) -> Self {
-        Self::from_result(
-            run.clock_period_ps,
-            &run.result,
-            run.warm_start,
-            run.cache_hits,
-            run.cache_misses,
-        )
+        Self::from_result(run.clock_period_ps, &run.result, run.warm_start)
     }
 
     /// The one place a feasible point is derived from a run, shared by the
@@ -129,8 +120,6 @@ impl SweepPoint {
         clock_period_ps: Picos,
         result: &crate::driver::IsdcResult,
         warm_start: bool,
-        cache_hits: u64,
-        cache_misses: u64,
     ) -> Self {
         Self {
             clock_period_ps,
@@ -141,8 +130,8 @@ impl SweepPoint {
             warm_start,
             warm_solves: result.history.iter().filter(|r| r.solver_warm).count(),
             cold_solves: result.history.iter().filter(|r| !r.solver_warm).count(),
-            cache_hits,
-            cache_misses,
+            cache_hits: result.metrics.counter_or_zero("cache/hits"),
+            cache_misses: result.metrics.counter_or_zero("cache/misses"),
             elapsed: result.total_time,
             schedule: Some(result.schedule.clone()),
             metrics: result.metrics.clone(),
@@ -269,15 +258,9 @@ fn sweep_independent<O: DelayOracle + ?Sized>(
 ) -> Result<Vec<SweepPoint>, ScheduleError> {
     let mut points = Vec::with_capacity(periods.len());
     for &clock in periods {
-        let config = IsdcConfig {
-            clock_period_ps: clock,
-            cache: false,
-            cache_file: None,
-            incremental,
-            ..base.clone()
-        };
+        let config = IsdcConfig { clock_period_ps: clock, incremental, ..base.clone() };
         match crate::driver::run_isdc(graph, model, oracle, &config) {
-            Ok(result) => points.push(SweepPoint::from_result(clock, &result, false, 0, 0)),
+            Ok(result) => points.push(SweepPoint::from_result(clock, &result, false)),
             Err(e) if is_infeasibility(&e) => points.push(SweepPoint::infeasible(clock)),
             Err(e) => return Err(e),
         }

@@ -19,7 +19,8 @@
 //!   --scoring dd|fd       delay- or fanout-driven extraction (default fd)
 //!   --shape path|cone|window   expansion strategy (default window)
 //!   --cache               memoize downstream evaluations by structural fingerprint
-//!   --cache-file <file>   persist the cache snapshot across runs (implies --cache)
+//!   --cache-file <file>   load/save the session snapshot (delays + potentials)
+//!                         across runs (implies --cache)
 //!   --cold-solver         rebuild and cold-solve the LP every iteration
 //!                         (default: incremental warm-started re-solves)
 //!   --deadline <ms>       wall-clock budget; an exceeded run exits 4
@@ -90,6 +91,7 @@
 //! cache snapshot never fails a run: it is quarantined to `<file>.corrupt`
 //! and the run cold-starts with a warning.
 
+use isdc::cache::{CacheStats, DelayCache};
 use isdc::core::metrics::post_synthesis_slack;
 use isdc::core::{
     linear_grid, min_feasible_period, render_sweep_json, run_isdc, run_sdc, sweep_clock_period,
@@ -421,13 +423,21 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
             shape,
             threads: 4,
             convergence_patience: 2,
-            cache,
-            cache_file,
-            cache_capacity,
             incremental,
             iteration_metrics: true,
         };
-        let result = run_isdc(&g, &model, &oracle, &config).map_err(schedule_error)?;
+        // Memoized runs go through a session, like `sweep` and `batch`.
+        let mut session = cache.then(|| {
+            let store = std::sync::Arc::new(DelayCache::with_capacity(cache_capacity));
+            IsdcSession::with_cache(&g, &model, &oracle, store)
+        });
+        if let (Some(session), Some(path)) = (&session, &cache_file) {
+            report_snapshot_load(session.load_snapshot_resilient(path), path);
+        }
+        let result = match &mut session {
+            Some(session) => session.run(&config).map_err(schedule_error)?.result,
+            None => run_isdc(&g, &model, &oracle, &config).map_err(schedule_error)?,
+        };
         if telemetry.profile {
             print_profile(&[&result.metrics]);
         }
@@ -447,6 +457,11 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
                 if rec.solver_warm { "warm" } else { "cold" }
             );
             if cache {
+                let lookups = CacheStats {
+                    hits: rec.cache_hits,
+                    misses: rec.cache_misses,
+                    ..Default::default()
+                };
                 println!(
                     "  iter {:2}: {:6} register bits, {:3} stages, est.err {:5.1}%, \
                      solve {solver}, cache {:3}/{:3} hits ({:4.0}%)",
@@ -456,7 +471,7 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
                     rec.estimation_error_pct,
                     rec.cache_hits,
                     rec.cache_hits + rec.cache_misses,
-                    rec.cache_hit_rate() * 100.0
+                    lookups.hit_rate() * 100.0
                 );
             } else {
                 println!(
@@ -466,7 +481,8 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
                 );
             }
         }
-        if let Some(stats) = result.cache_stats {
+        if let Some(session) = &session {
+            let stats = session.cache().stats();
             println!(
                 "cache: {} hits / {} lookups ({:.0}% hit rate), {} entries inserted",
                 stats.hits,
@@ -474,6 +490,9 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
                 stats.hit_rate() * 100.0,
                 stats.inserts
             );
+            if let Some(path) = &cache_file {
+                session.save_snapshot(path).map_err(|e| e.to_string())?;
+            }
         }
         (result.schedule, "isdc")
     } else {
@@ -563,8 +582,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         shape,
         ..IsdcConfig::paper_defaults(from)
     };
-    let cache =
-        std::sync::Arc::new(isdc::cache::DelayCache::with_capacity(flag_cache_capacity(args)?));
+    let cache = std::sync::Arc::new(DelayCache::with_capacity(flag_cache_capacity(args)?));
     let mut session = IsdcSession::with_cache(&g, &model, &oracle, cache);
     let snapshot = flag_value(args, "--cache-file").map(std::path::PathBuf::from);
     if let Some(path) = &snapshot {
@@ -742,7 +760,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         parse_jobs, render_batch_json, run_batch, BatchBenchDoc, BatchDesign, BatchOptions,
         FailPolicy, Job, JobKind, JobStatus, ScalingRow,
     };
-    use isdc::cache::DelayCache;
     use std::sync::Arc;
 
     let (iterations, subgraphs, scoring, shape) = parse_loop_opts(args)?;

@@ -128,6 +128,12 @@ proptest! {
                     &result.job.design, b.clock_period_ps);
             }
         }
+        // Each point counts only its own run's lookups, so the points add
+        // up to the fleet's traffic at any thread count.
+        let per_point: u64 = report.jobs.iter().flat_map(|j| &j.points)
+            .map(|p| p.cache_hits + p.cache_misses).sum();
+        prop_assert_eq!(per_point, report.cache.hits + report.cache.misses,
+            "threads {threads} (seed {seed}): per-point lookups vs the fleet's");
     }
 }
 

@@ -1,15 +1,36 @@
 //! Acceptance test for the isdc-cache subsystem: running ISDC on a
-//! benchsuite design twice against the same persistent cache file must (a)
-//! produce exactly the schedules an uncached run produces, and (b) serve the
-//! second run mostly from the snapshot, with a strictly positive hit rate.
+//! benchsuite design twice against the same persistent snapshot file must
+//! (a) produce exactly the schedules an uncached run produces, and (b)
+//! serve the second run mostly from the snapshot, with a strictly positive
+//! hit rate.
 
-use isdc::core::{run_isdc, IsdcConfig};
-use isdc::synth::{OpDelayModel, SynthesisOracle};
+use isdc::cache::{CacheStats, SnapshotLoad};
+use isdc::core::{run_isdc, IsdcConfig, IsdcSession, SessionRun};
+use isdc::ir::Graph;
+use isdc::synth::{DelayOracle, OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn fresh_snapshot_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("isdc-cache-roundtrip-{tag}-{}.json", std::process::id()))
+}
+
+/// One persisted run, the way `isdc-cli schedule --cache-file` makes it: a
+/// fresh session loads the snapshot (quarantining a corrupt one), runs,
+/// and saves. Returns the run, its session cache's counters and the load
+/// outcome.
+fn persisted_run<O: DelayOracle>(
+    graph: &Graph,
+    model: &OpDelayModel,
+    oracle: &O,
+    config: &IsdcConfig,
+    path: &Path,
+) -> (SessionRun, CacheStats, SnapshotLoad) {
+    let mut session = IsdcSession::new(graph, model, oracle);
+    let load = session.load_snapshot_resilient(path);
+    let run = session.run(config).expect("cached run schedules");
+    session.save_snapshot(path).expect("snapshot saves");
+    (run, session.cache().stats(), load)
 }
 
 #[test]
@@ -31,17 +52,14 @@ fn persistent_cache_preserves_results_and_hits_on_second_run() {
 
     let uncached = run_isdc(&bench.graph, &model, &oracle, &base).expect("uncached run schedules");
 
-    let cached_config = base.clone().with_cache(Some(path.clone()));
-    let first = run_isdc(&bench.graph, &model, &oracle, &cached_config)
-        .expect("first cached run schedules");
+    let (first, stats1, _) = persisted_run(&bench.graph, &model, &oracle, &base, &path);
     assert!(path.exists(), "snapshot must be written after the run");
 
-    let second = run_isdc(&bench.graph, &model, &oracle, &cached_config)
-        .expect("second cached run schedules");
+    let (second, stats2, _) = persisted_run(&bench.graph, &model, &oracle, &base, &path);
     let _ = std::fs::remove_file(&path);
 
     // (a) Caching must be invisible in the results.
-    for (label, run) in [("first cached", &first), ("second cached", &second)] {
+    for (label, run) in [("first cached", &first.result), ("second cached", &second.result)] {
         assert_eq!(
             run.schedule, uncached.schedule,
             "{label}: schedule diverged from the uncached run"
@@ -59,8 +77,6 @@ fn persistent_cache_preserves_results_and_hits_on_second_run() {
     }
 
     // (b) The snapshot must make the second run strictly warmer.
-    let stats1 = first.cache_stats.expect("stats recorded");
-    let stats2 = second.cache_stats.expect("stats recorded");
     assert!(stats2.hits > 0, "second run must hit the persisted cache: {stats2:?}");
     assert!(
         stats2.hit_rate() > stats1.hit_rate() || stats1.hit_rate() == 1.0,
@@ -70,7 +86,7 @@ fn persistent_cache_preserves_results_and_hits_on_second_run() {
         stats2.misses < stats1.misses || stats1.misses == 0,
         "second run must miss less: {stats1:?} -> {stats2:?}"
     );
-    let recorded_hits: u64 = second.history.iter().map(|r| r.cache_hits).sum();
+    let recorded_hits: u64 = second.result.history.iter().map(|r| r.cache_hits).sum();
     assert_eq!(recorded_hits, stats2.hits, "history must account for every hit");
 }
 
@@ -89,26 +105,25 @@ fn snapshot_from_different_oracle_configuration_is_not_replayed() {
         threads: 1,
         ..IsdcConfig::paper_defaults(bench.clock_period_ps)
     };
-    let cached_config = base.clone().with_cache(Some(path.clone()));
 
     // Populate the snapshot with typical-corner delays.
     let typical = SynthesisOracle::new(lib);
-    run_isdc(&bench.graph, &model, &typical, &cached_config).expect("typical run");
+    persisted_run(&bench.graph, &model, &typical, &base, &path);
 
     // A slow-corner oracle must ignore it and re-measure.
     let slow = SynthesisOracle::new(isdc::techlib::TechLibrary::sky130_corner(
         isdc::techlib::Corner::Slow,
     ));
-    let with_stale_snapshot =
-        run_isdc(&bench.graph, &model, &slow, &cached_config).expect("slow cached run");
+    let (with_stale_snapshot, stats, load) =
+        persisted_run(&bench.graph, &model, &slow, &base, &path);
     let reference = run_isdc(&bench.graph, &model, &slow, &base).expect("slow uncached run");
     let _ = std::fs::remove_file(&path);
 
+    assert!(matches!(load, SnapshotLoad::ColdStart { quarantined: None, .. }), "{load:?}");
     assert_eq!(
-        with_stale_snapshot.schedule, reference.schedule,
+        with_stale_snapshot.result.schedule, reference.schedule,
         "foreign snapshot must not leak into the slow-corner schedule"
     );
-    let stats = with_stale_snapshot.cache_stats.expect("stats recorded");
     assert!(stats.inserts > 0, "slow corner must re-measure, not replay: {stats:?}");
 }
 
@@ -125,10 +140,12 @@ fn corrupt_snapshot_is_ignored_not_fatal() {
         max_iterations: 2,
         threads: 1,
         ..IsdcConfig::paper_defaults(bench.clock_period_ps)
-    }
-    .with_cache(Some(path.clone()));
-    let result = run_isdc(&bench.graph, &model, &oracle, &config)
-        .expect("a bad snapshot must not break scheduling");
+    };
+    let (run, _, load) = persisted_run(&bench.graph, &model, &oracle, &config, &path);
     let _ = std::fs::remove_file(&path);
-    assert!(result.cache_stats.is_some());
+    if let SnapshotLoad::ColdStart { quarantined: Some(q), .. } = &load {
+        let _ = std::fs::remove_file(q);
+    }
+    assert!(matches!(load, SnapshotLoad::ColdStart { .. }), "{load:?}");
+    assert!(run.cache_hits + run.cache_misses > 0, "the run must still memoize");
 }

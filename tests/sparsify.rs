@@ -6,10 +6,10 @@
 
 use isdc::benchsuite::{random_dag, RandomDagConfig};
 use isdc::core::{
-    schedule_with_matrix, schedule_with_matrix_dense, DelayMatrix, DirtySet, IncrementalScheduler,
-    ScheduleOptions,
+    linear_grid, schedule_with_matrix, schedule_with_matrix_dense, DelayMatrix, DirtySet,
+    IncrementalScheduler, IsdcConfig, IsdcSession, ScheduleOptions,
 };
-use isdc::synth::OpDelayModel;
+use isdc::synth::{OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
 use proptest::prelude::*;
 
@@ -71,6 +71,38 @@ fn crc32_constraint_count_is_at_least_halved() {
         "sparsification must cut the constraint count at least 2x: {stats:?}"
     );
     assert_eq!(stats.dense_constraints(), stats.constraints_emitted + stats.pruned());
+}
+
+/// Dominance pruning (a pair whose chain through an intermediate already
+/// proves a strictly tighter bound) never fires on a naive matrix, where
+/// path delays dominate their prefixes; it takes a feedback-updated one.
+/// sha256 stepped from 4444ps to 4722ps through one session, the last
+/// two points of the 2500..5000ps ten-point grid, is such an input: the
+/// pruned pairs must leave every schedule equal to the dense reference.
+#[test]
+fn sha256_feedback_ladder_dominance_prunes_and_matches_dense() {
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let b = isdc::benchsuite::suite()
+        .into_iter()
+        .find(|b| b.name == "sha256")
+        .expect("sha256 in the suite");
+    let mut session = IsdcSession::new(&b.graph, &model, &oracle);
+    let mut pruned = 0;
+    for clock in linear_grid(2500.0, 5000.0, 10).into_iter().skip(7).take(2) {
+        let config = IsdcConfig {
+            clock_period_ps: clock,
+            threads: 1,
+            iteration_metrics: false,
+            ..IsdcConfig::paper_defaults(clock)
+        };
+        let run = session.run(&config).expect("sha256 schedules");
+        pruned += run.result.metrics.counter_or_zero("lp/dominance_pruned");
+        let dense = schedule_with_matrix_dense(&b.graph, &run.result.delays, clock);
+        assert_eq!(Ok(run.result.schedule), dense, "diverged at {clock}ps");
+    }
+    assert!(pruned > 0, "the ladder must exercise the dominance branch");
 }
 
 proptest! {
