@@ -20,7 +20,7 @@
 //! - a deterministic **aggregator** ([`BatchReport`]) stitching shard
 //!   outputs back into per-job records — the same
 //!   [`isdc_core::SweepPoint`]s a serial sweep produces — plus
-//!   [`render_batch_json`] for the `BENCH_batch.json` scaling document.
+//!   [`render_batch_json`] for the `isdc-cli batch --out` report document.
 //!
 //! **The guarantee:** batch output is bit-identical to the serial session
 //! sweep ([`serial_reference`]) for every job, at every thread count and
@@ -79,5 +79,5 @@ pub use engine::{
     plan_shards, run_batch, serial_reference, BatchDesign, BatchError, BatchOptions, BatchReport,
     FailPolicy, JobError, JobErrorKind, JobResult, JobStatus, ShardJob,
 };
-pub use report::{render_batch_json, BatchBenchDoc, ScalingRow};
+pub use report::render_batch_json;
 pub use spec::{parse_jobs, render_jobs, Job, JobKind};

@@ -1,134 +1,54 @@
-//! `BENCH_batch.json` rendering: batch totals, per-thread-count scaling
-//! against the serial session sweep, and per-job records.
+//! The batch report document (`isdc-cli batch --out`): batch totals,
+//! robustness attestation, fleet cache and solver totals, and per-job
+//! records.
 
 use crate::engine::{BatchReport, JobStatus};
 use crate::spec::JobKind;
 use isdc_core::StageKind;
 use isdc_telemetry::json::escape;
 use std::fmt::Write as _;
-use std::time::Duration;
 
-/// One measured thread count in the scaling table.
-#[derive(Clone, Copy, Debug)]
-pub struct ScalingRow {
-    /// Worker threads the batch ran with.
-    pub threads: usize,
-    /// Batch wall-clock at that thread count.
-    pub total: Duration,
-}
-
-/// Everything the `BENCH_batch.json` document reports.
-pub struct BatchBenchDoc<'a> {
-    /// `"full"` or `"quick"` (CI smoke).
-    pub mode: &'a str,
-    /// Designs in the batch's table.
-    pub designs: usize,
-    /// The canonical run whose per-job records are listed (by convention
-    /// the highest thread count measured).
-    pub report: &'a BatchReport,
-    /// `std::thread::available_parallelism()` on the measuring machine —
-    /// scaling numbers are meaningless without it.
-    pub hardware_threads: usize,
-    /// How many times each timed configuration was run; the document's
-    /// wall-clock numbers are the median run (`--repeat N`), so the gate's
-    /// floors are evaluated on medians rather than single noisy samples.
-    pub repeats: usize,
-    /// Wall-clock of the serial session sweep baseline
-    /// ([`crate::serial_reference`]), when measured — the bench always
-    /// measures it; a lone CLI batch run has nothing to compare against and
-    /// omits the speedup fields.
-    pub serial_total: Option<Duration>,
-    /// Optional wall-clock of the independent-cold-runs baseline (the
-    /// paper-reference semantics), for the long-lever speedup.
-    pub cold_total: Option<Duration>,
-    /// One row per measured thread count.
-    pub scaling: &'a [ScalingRow],
-    /// Whether every batch schedule was verified bit-identical to the
-    /// serial baseline before rendering.
-    pub bit_identical: bool,
-}
-
-fn speedup(baseline: Duration, total: Duration) -> f64 {
-    baseline.as_nanos() as f64 / (total.as_nanos().max(1)) as f64
-}
-
-/// Serializes the document. Rates are always finite (zero-lookup divisions
-/// render as 0.0), so the output is parseable JSON end to end.
-pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
+/// Serializes `report` (a batch over `designs` designs). Rates are always
+/// finite (zero-lookup divisions render as 0.0), so the output is
+/// parseable JSON end to end.
+pub fn render_batch_json(report: &BatchReport, designs: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"batch\",\n");
-    let _ = writeln!(out, "  \"mode\": \"{}\",", doc.mode);
     let _ = writeln!(
         out,
-        "  \"designs\": {}, \"jobs\": {}, \"shards\": {}, \"points\": {},",
-        doc.designs,
-        doc.report.jobs.len(),
-        doc.report.shards,
-        doc.report.total_points()
+        "  \"designs\": {designs}, \"jobs\": {}, \"shards\": {}, \"points\": {},",
+        report.jobs.len(),
+        report.shards,
+        report.total_points()
     );
-    let _ = writeln!(out, "  \"hardware_threads\": {},", doc.hardware_threads);
-    let _ = writeln!(out, "  \"repeats\": {},", doc.repeats);
-    let _ = writeln!(out, "  \"bit_identical\": {},", doc.bit_identical);
-    // Robustness attestation: all zero on a clean run (the bench gate
-    // asserts it — a benchmark that survived only via retries, dropped
-    // jobs, or deadline cuts is not a valid measurement).
+    let _ = writeln!(
+        out,
+        "  \"threads\": {}, \"elapsed_ns\": {},",
+        report.threads,
+        report.elapsed.as_nanos()
+    );
+    // Robustness attestation: all zero on a clean run.
     let _ = writeln!(
         out,
         "  \"jobs_failed\": {}, \"jobs_retried\": {}, \"jobs_timed_out\": {},",
-        doc.report.jobs_failed(),
-        doc.report.jobs_retried(),
-        doc.report.jobs_timed_out()
+        report.jobs_failed(),
+        report.jobs_retried(),
+        report.jobs_timed_out()
     );
-    if let Some(serial) = doc.serial_total {
-        let _ = writeln!(out, "  \"serial_total_ns\": {},", serial.as_nanos());
-    }
-    if let Some(cold) = doc.cold_total {
-        let _ = writeln!(out, "  \"cold_total_ns\": {},", cold.as_nanos());
-    }
-    out.push_str("  \"scaling\": [\n");
-    for (i, row) in doc.scaling.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(
-            out,
-            "    {{\"threads\": {}, \"total_ns\": {}",
-            row.threads,
-            row.total.as_nanos()
-        );
-        if let Some(serial) = doc.serial_total {
-            let _ = write!(out, ", \"speedup_vs_serial\": {:.2}", speedup(serial, row.total));
-        }
-        if let Some(cold) = doc.cold_total {
-            let _ = write!(out, ", \"speedup_vs_cold\": {:.2}", speedup(cold, row.total));
-        }
-        out.push('}');
-    }
-    out.push_str("\n  ],\n");
-    if let (Some(serial), Some(best)) =
-        (doc.serial_total, doc.scaling.iter().max_by_key(|r| r.threads))
-    {
-        let _ = writeln!(
-            out,
-            "  \"max_threads_measured\": {}, \"speedup_at_max_threads\": {:.2},",
-            best.threads,
-            speedup(serial, best.total)
-        );
-    }
     let _ = writeln!(
         out,
         "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}, \
          \"entries_inserted\": {}, \"evictions\": {}}},",
-        doc.report.cache.hits,
-        doc.report.cache.misses,
-        doc.report.cache_hit_rate(),
-        doc.report.cache.inserts,
-        doc.report.cache.evictions
+        report.cache.hits,
+        report.cache.misses,
+        report.cache_hit_rate(),
+        report.cache.inserts,
+        report.cache.evictions
     );
     // Fleet totals, summed out of the batch's merged metrics frame. Only
     // leaves that are unique across the metric namespace are meaningful
     // here (per-stage `ns`/`calls` leaves would collide).
-    let totals = doc.report.metrics.totals();
+    let totals = report.metrics.totals();
     let fleet = |leaf: &str| totals.get(leaf).copied().unwrap_or(0);
     let _ = writeln!(
         out,
@@ -140,7 +60,7 @@ pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
         fleet("iterations")
     );
     out.push_str("  \"runs\": [\n");
-    for (i, job) in doc.report.jobs.iter().enumerate() {
+    for (i, job) in report.jobs.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
@@ -208,6 +128,7 @@ mod tests {
     use crate::engine::{JobError, JobErrorKind, JobResult};
     use crate::spec::Job;
     use isdc_cache::CacheStats;
+    use std::time::Duration;
 
     #[test]
     fn json_shape_is_stable_and_nan_free() {
@@ -244,33 +165,14 @@ mod tests {
             cache: CacheStats::default(),
             metrics: isdc_telemetry::MetricsFrame::new(),
         };
-        let doc = BatchBenchDoc {
-            mode: "quick",
-            designs: 1,
-            report: &report,
-            hardware_threads: 4,
-            repeats: 1,
-            serial_total: Some(Duration::from_nanos(2000)),
-            cold_total: Some(Duration::from_nanos(8000)),
-            scaling: &[
-                ScalingRow { threads: 1, total: Duration::from_nanos(1900) },
-                ScalingRow { threads: 8, total: Duration::from_nanos(500) },
-            ],
-            bit_identical: true,
-        };
-        let json = render_batch_json(&doc);
+        let json = render_batch_json(&report, 1);
         for needle in [
             "\"bench\": \"batch\"",
-            "\"hardware_threads\": 4",
-            "\"repeats\": 1",
-            "\"bit_identical\": true",
+            "\"designs\": 1, \"jobs\": 1, \"shards\": 1, \"points\": 1",
+            "\"threads\": 8, \"elapsed_ns\": 500",
             "\"jobs_failed\": 0, \"jobs_retried\": 0, \"jobs_timed_out\": 0",
             "\"evictions\": 0",
             "\"status\": \"ok\", \"retries\": 0",
-            "\"serial_total_ns\": 2000",
-            "\"speedup_vs_serial\": 4.00",
-            "\"speedup_vs_cold\": 16.00",
-            "\"max_threads_measured\": 8, \"speedup_at_max_threads\": 4.00",
             "\"cache_hit_rate\": 0.0000",
             "\"hit_rate\": 0.0000",
             "\"feasible\": 0",
@@ -312,18 +214,7 @@ mod tests {
             cache: CacheStats::default(),
             metrics: isdc_telemetry::MetricsFrame::new(),
         };
-        let doc = BatchBenchDoc {
-            mode: "cli",
-            designs: 1,
-            report: &report,
-            hardware_threads: 1,
-            repeats: 1,
-            serial_total: None,
-            cold_total: None,
-            scaling: &[ScalingRow { threads: 1, total: Duration::from_nanos(5) }],
-            bit_identical: false,
-        };
-        let json = render_batch_json(&doc);
+        let json = render_batch_json(&report, 1);
         // Escaped onto its row's line: strict readers reject raw newlines.
         assert!(json.contains(r"assertion failed\n  left: 1\n right: 2"), "{json}");
         let parsed = isdc_telemetry::json::parse(&json).expect("report must be valid JSON");

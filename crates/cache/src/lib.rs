@@ -23,7 +23,7 @@
 //! - the cache also carries the **LP potentials** a scheduling session
 //!   exports per (design fingerprint, clock period)
 //!   ([`DelayCache::store_potentials`] / [`DelayCache::nearest_potentials`])
-//!   — persisted in snapshot format version 2 alongside the delay entries,
+//!   — persisted in snapshot format version 3 alongside the delay entries,
 //!   under the same oracle identity tag.
 //!
 //! The per-op [`OpDelayModel`](isdc_synth::OpDelayModel) cache plays the

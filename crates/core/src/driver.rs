@@ -22,7 +22,7 @@ use isdc_ir::Graph;
 use isdc_sdc::DrainStats;
 use isdc_synth::{DelayOracle, OpDelayModel};
 use isdc_techlib::Picos;
-use isdc_telemetry::{MetricValue, MetricsFrame};
+use isdc_telemetry::{Counter, MetricValue, MetricsFrame};
 use std::time::{Duration, Instant};
 
 /// Configuration for an ISDC run.
@@ -296,6 +296,7 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         },
         lookups,
         &mut run_lookups,
+        &state.metrics().oracle_metrics_ns,
         start.elapsed(),
     )];
 
@@ -344,6 +345,7 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
             },
             lookups,
             &mut run_lookups,
+            &state.metrics().oracle_metrics_ns,
             iter_start.elapsed(),
         ));
         if next_bits == prev_bits {
@@ -364,8 +366,9 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         metrics_frame.insert("cache/inserts", MetricValue::Counter(run_lookups.inserts));
     }
     let total_time = start.elapsed();
-    // Run reports use this as the wall-clock denominator (stage times
-    // exclude snapshotting and convergence bookkeeping).
+    // Run reports use this as the wall-clock denominator; what the stage
+    // rows (six stages plus `oracle_metrics`) leave uncovered is the
+    // report's `unattributed` row.
     metrics_frame.insert("run/total_ns", MetricValue::Counter(total_time.as_nanos() as u64));
     Ok(PipelineOutcome {
         result: IsdcResult {
@@ -403,14 +406,17 @@ fn snapshot<O: DelayOracle + ?Sized>(
     solve: SolveInfo,
     lookups: Option<&Lookups>,
     run_lookups: &mut CacheStats,
+    oracle_metrics_ns: &Counter,
     elapsed: Duration,
 ) -> IterationRecord {
     let (error_pct, naive_error_pct) = if solve.metrics {
         let _span = isdc_telemetry::span("oracle_metrics");
+        let start = Instant::now();
         let sta = metrics::stage_sta_delays(graph, schedule, oracle);
         let est = metrics::estimated_stage_delays(graph, schedule, delays);
         let naive = naive.expect("naive matrix retained while metrics are on");
         let naive_est = metrics::estimated_stage_delays(graph, schedule, naive);
+        oracle_metrics_ns.add(start.elapsed().as_nanos() as u64);
         (metrics::estimation_error_pct(&est, &sta), metrics::estimation_error_pct(&naive_est, &sta))
     } else {
         // Metrics skipped (e.g. a sweep's inner points): the oracle is not

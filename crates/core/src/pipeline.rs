@@ -128,6 +128,11 @@ pub(crate) struct RunMetrics {
     pub(crate) subgraphs_evaluated: Counter,
     /// Distribution of individual LP solve times (log2 ns buckets).
     solve_ns: Histogram,
+    /// Wall-clock of the driver's per-iteration oracle quality metrics,
+    /// spent outside the six stages. Only the time is recorded: how many
+    /// points compute the metrics depends on how a batch shards a sweep,
+    /// while every `calls` leaf must replay identically across shardings.
+    pub(crate) oracle_metrics_ns: Counter,
 }
 
 impl RunMetrics {
@@ -148,6 +153,7 @@ impl RunMetrics {
         let iterations = registry.counter("run/iterations");
         let subgraphs_evaluated = registry.counter("run/subgraphs_evaluated");
         let solve_ns = registry.histogram("solve/ns");
+        let oracle_metrics_ns = registry.counter("stage/oracle_metrics/ns");
         Self {
             registry,
             stage_ns,
@@ -163,6 +169,7 @@ impl RunMetrics {
             iterations,
             subgraphs_evaluated,
             solve_ns,
+            oracle_metrics_ns,
         }
     }
 
@@ -451,10 +458,11 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Extract {
 
 /// Stage 2: drop exact node-set duplicates, keeping first occurrences.
 ///
-/// Identical sets would evaluate to identical reports and fold into the
-/// matrix idempotently, so deduplication cannot change any schedule — it
-/// only refunds the duplicate evaluations (which cost real synthesis time
-/// when the oracle cache is off or cold).
+/// [`extract_subgraphs`] already returns each node set at most once, so on
+/// its output this stage drops nothing (`dedupe.dropped` reads 0 on every
+/// workload); it guards stage inputs built some other way. Identical sets
+/// would evaluate to identical reports and fold into the matrix
+/// idempotently, so deduplication cannot change any schedule.
 pub struct Dedupe;
 
 impl<O: DelayOracle + ?Sized> Stage<O> for Dedupe {

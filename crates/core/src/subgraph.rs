@@ -298,6 +298,29 @@ mod tests {
         ExtractionConfig { scoring, shape, max_subgraphs: 8, clock_period_ps: 1000.0 }
     }
 
+    /// Several scored paths can expand to one cone or window, but
+    /// extraction returns each node set once. The pipeline's `Dedupe`
+    /// stage, and any per-iteration memo keyed by node set, rely on this.
+    #[test]
+    fn extraction_never_returns_two_equal_node_sets() {
+        let (g, s, d, _) = setup();
+        for scoring in [ScoringStrategy::DelayDriven, ScoringStrategy::FanoutDriven] {
+            for shape in [ShapeStrategy::Path, ShapeStrategy::Cone, ShapeStrategy::Window] {
+                let config = config(scoring, shape);
+                let subs = extract_subgraphs(&g, &s, &d, &config);
+                let sets: BTreeSet<BTreeSet<NodeId>> =
+                    subs.iter().map(|sub| sub.nodes.iter().copied().collect()).collect();
+                assert_eq!(sets.len(), subs.len(), "{scoring:?}/{shape:?}: repeated node set");
+                if shape == ShapeStrategy::Cone {
+                    // More candidate paths than distinct cones, below the
+                    // budget: the repeats were really there and dropped.
+                    assert!(subs.len() < config.max_subgraphs);
+                    assert!(candidate_paths(&g, &s, &d, &config).len() > subs.len());
+                }
+            }
+        }
+    }
+
     #[test]
     fn delay_driven_prefers_long_path() {
         let (g, s, d, [a, _, _, _, y, _, _]) = setup();

@@ -20,8 +20,8 @@
 //!   fail before any downstream evaluation, so they are nearly free.
 //!
 //! [`render_sweep_json`] serializes the per-run records (warm starts,
-//! cache hit rates, solver statistics) in the `BENCH_sweep.json` layout
-//! the bench tooling and CI consume.
+//! cache hit rates, solver statistics) as the `isdc-cli sweep --out`
+//! document.
 
 use crate::driver::IsdcConfig;
 use crate::pipeline::StageKind;
@@ -337,37 +337,17 @@ pub fn min_feasible_period<O: DelayOracle + ?Sized>(
     Ok(MinPeriodSearch { min_period_ps: Some(hi), probes })
 }
 
-/// Serializes sweep records as the `BENCH_sweep.json` document: design
-/// metadata, one row per session point, per-baseline totals and speedups,
-/// and each baseline's per-point time alongside the session's (baselines
-/// are named, e.g. `("cold", ..)` for the reference cold-solver runs and
-/// `("independent", ..)` for warm-within-run independent calls).
-pub fn render_sweep_json(
-    design: &str,
-    nodes: usize,
-    mode: &str,
-    session_points: &[SweepPoint],
-    baselines: &[(&str, &[SweepPoint])],
-) -> String {
-    let total =
-        |points: &[SweepPoint]| -> u128 { points.iter().map(|p| p.elapsed.as_nanos()).sum() };
-    let session_total = total(session_points);
+/// Serializes sweep records: design metadata, the session's total time
+/// and one row per point.
+pub fn render_sweep_json(design: &str, nodes: usize, points: &[SweepPoint]) -> String {
+    let total: u128 = points.iter().map(|p| p.elapsed.as_nanos()).sum();
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"sweep\",\n");
     let _ = writeln!(out, "  \"design\": \"{}\",\n  \"nodes\": {nodes},", escape(design));
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",\n  \"points\": {},", session_points.len());
-    let _ = writeln!(out, "  \"session_total_ns\": {session_total},");
-    for (name, points) in baselines {
-        let baseline_total = total(points);
-        let _ = writeln!(out, "  \"{name}_total_ns\": {baseline_total},");
-        let _ = writeln!(
-            out,
-            "  \"speedup_vs_{name}\": {:.2},",
-            baseline_total as f64 / session_total.max(1) as f64
-        );
-    }
+    let _ = writeln!(out, "  \"points\": {},", points.len());
+    let _ = writeln!(out, "  \"session_total_ns\": {total},");
     out.push_str("  \"runs\": [\n");
-    for (i, p) in session_points.iter().enumerate() {
+    for (i, p) in points.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
@@ -406,13 +386,7 @@ pub fn render_sweep_json(
             }
             let _ = write!(out, "\"{}\": {}", kind.name(), p.stage_micros(*kind));
         }
-        out.push('}');
-        for (name, points) in baselines {
-            if let Some(b) = points.iter().find(|b| b.clock_period_ps == p.clock_period_ps) {
-                let _ = write!(out, ", \"{name}_elapsed_ns\": {}", b.elapsed.as_nanos());
-            }
-        }
-        out.push('}');
+        out.push_str("}}");
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -453,22 +427,20 @@ mod tests {
             schedule: None,
             metrics,
         };
-        let cold =
-            SweepPoint { warm_start: false, elapsed: Duration::from_nanos(9999), ..point.clone() };
-        let json = render_sweep_json("crc32", 452, "full", &[point], &[("cold", &[cold])]);
+        let json = render_sweep_json("crc32", 452, &[point]);
         for needle in [
             "\"bench\": \"sweep\"",
             "\"design\": \"crc32\"",
-            "\"speedup_vs_cold\": 8.10",
+            "\"session_total_ns\": 1234",
             "\"warm_start\": true",
             "\"cache_hit_rate\": 0.9524",
             "\"drain_dijkstras\": 7",
             "\"drain_paths\": 12",
             "\"stage_us\": {\"extract\": 0",
             "\"solve\": 42",
-            "\"cold_elapsed_ns\": 9999",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+        isdc_telemetry::json::parse(&json).expect("valid JSON");
     }
 }

@@ -7,7 +7,7 @@
 //! report` artifact). [`attribute`] then answers "why is this run slower
 //! than that one": it diffs two flat metric maps and ranks per-stage and
 //! per-metric deltas by their contribution to the total wall-clock
-//! delta, which is also what `bench_gate` prints when a floor fails.
+//! delta (what `isdc-cli report --baseline` prints).
 //!
 //! Frames arrive in two shapes and both are handled by suffix matching:
 //! a list of per-point frames from a sweep (keys like `stage/solve/ns`),
@@ -44,7 +44,8 @@ pub struct StageRow {
     pub name: String,
     /// Total nanoseconds spent in the stage.
     pub ns: u64,
-    /// Number of stage invocations.
+    /// Number of stage invocations (0 for rows whose frames record only
+    /// time, such as `oracle_metrics`).
     pub calls: u64,
 }
 
@@ -147,6 +148,12 @@ impl RunReport {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// Wall-clock no stage row accounts for: `total_ns` minus the summed
+    /// stage times, saturating at zero.
+    pub fn unattributed_ns(&self) -> u64 {
+        self.total_ns.saturating_sub(self.stages.iter().map(|s| s.ns).sum())
+    }
+
     /// Cache hit rate in `[0, 1]`, or `None` when no lookups happened.
     pub fn cache_hit_rate(&self) -> Option<f64> {
         let hits = self.counter("cache/hits");
@@ -169,22 +176,33 @@ impl RunReport {
             self.counter("run/subgraphs_evaluated"),
         );
         if !self.stages.is_empty() {
-            let _ = writeln!(out, "  {:<14} {:>12} {:>7} {:>9}", "stage", "time", "%", "calls");
-            for s in &self.stages {
-                let pct = if self.total_ns > 0 {
-                    100.0 * s.ns as f64 / self.total_ns as f64
+            let pct = |ns: u64| {
+                if self.total_ns > 0 {
+                    100.0 * ns as f64 / self.total_ns as f64
                 } else {
                     0.0
-                };
+                }
+            };
+            let _ = writeln!(out, "  {:<14} {:>12} {:>7} {:>9}", "stage", "time", "%", "calls");
+            for s in &self.stages {
+                let calls = if s.calls > 0 { s.calls.to_string() } else { "-".into() };
                 let _ = writeln!(
                     out,
                     "  {:<14} {:>12} {:>6.1}% {:>9}",
                     s.name,
                     fmt_ns(s.ns),
-                    pct,
-                    s.calls
+                    pct(s.ns),
+                    calls
                 );
             }
+            let unattributed = self.unattributed_ns();
+            let _ = writeln!(
+                out,
+                "  {:<14} {:>12} {:>6.1}%",
+                "unattributed",
+                fmt_ns(unattributed),
+                pct(unattributed)
+            );
         }
         let _ = write!(
             out,
@@ -235,6 +253,7 @@ impl RunReport {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n  \"kind\": \"isdc_report\",\n");
         let _ = writeln!(out, "  \"total_ns\": {},", self.total_ns);
+        let _ = writeln!(out, "  \"unattributed_ns\": {},", self.unattributed_ns());
         out.push_str("  \"stages\": [");
         for (i, s) in self.stages.iter().enumerate() {
             if i > 0 {
@@ -399,7 +418,7 @@ pub fn attribute(
 }
 
 /// Renders an attribution as a ranked text table (what `isdc report
-/// --baseline` prints, and what `bench_gate` prints on a red floor).
+/// --baseline` prints).
 pub fn render_attribution(total_delta: f64, rows: &[AttributionRow], limit: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -498,15 +517,22 @@ mod tests {
             ("stage/extract/ns", 250),
             ("stage/extract/calls", 5),
             ("run/iterations", 5),
+            ("run/total_ns", 1000),
         ]));
         let text = report.render_text();
         assert!(text.contains("stage"));
         assert!(text.contains("extract"));
+        assert!(text.contains("unattributed"), "{text}");
+        assert!(text.contains("75.0%"), "750 of 1000 ns unattributed: {text}");
         assert!(text.contains("lp:"));
         assert!(text.contains("drain:"));
         let json = report.render_json();
         assert!(json.contains("\"kind\": \"isdc_report\""));
+        assert!(json.contains("\"unattributed_ns\": 750"));
         assert!(json.contains("\"stage/extract/ns\": 250"));
+        // Stage times summing past the total never go negative.
+        let over = RunReport::from_frame(&frame(&[("stage/solve/ns", 9), ("run/total_ns", 5)]));
+        assert_eq!(over.unattributed_ns(), 0);
     }
 
     #[test]

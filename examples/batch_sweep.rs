@@ -13,27 +13,20 @@
 //!    count, equals the serial baseline's schedule at the same (design,
 //!    period) point — the determinism guarantee the engine is built
 //!    around;
-//! 3. prints the scaling table and writes `BENCH_batch.json` at the
-//!    workspace root (including `hardware_threads`: on a 1-core container
-//!    the wall-clock scaling columns are necessarily flat — the speedup
-//!    numbers mean what the hardware lets them mean).
+//! 3. prints the scaling table: wall-clock per thread count against the
+//!    serial and cold baselines (on a 1-core container the scaling is
+//!    necessarily flat — the speedups mean what the hardware lets them
+//!    mean).
 //!
 //! Run with: `cargo run --release --example batch_sweep`
 //! (`ISDC_BATCH_QUICK=1` shrinks grids, iterations and thread counts for
-//! CI.) Pass `-- --repeat N` (or set `ISDC_BATCH_REPEAT=N`) to run every
-//! timed configuration N times and report the median run — the document
-//! records `repeats`, so gate floors are evaluated on medians instead of
-//! single noisy samples.
+//! CI.)
 
-use isdc_batch::{
-    render_batch_json, run_batch, serial_reference, BatchBenchDoc, BatchDesign, BatchOptions,
-    BatchReport, Job, ScalingRow,
-};
+use isdc_batch::{run_batch, serial_reference, BatchDesign, BatchOptions, BatchReport, Job};
 use isdc_cache::DelayCache;
 use isdc_core::{linear_grid, IsdcConfig};
 use isdc_synth::{OpDelayModel, SynthesisOracle};
 use isdc_techlib::TechLibrary;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Panics with a clear message if any batch point diverges from serial.
@@ -51,36 +44,8 @@ fn assert_bit_identical(batch: &BatchReport, serial: &BatchReport, threads: usiz
     }
 }
 
-/// `--repeat N` argument, falling back to `ISDC_BATCH_REPEAT`, default 1.
-fn parse_repeats() -> usize {
-    let mut args = std::env::args().skip(1);
-    let mut repeats: Option<usize> = None;
-    while let Some(a) = args.next() {
-        if a == "--repeat" {
-            repeats = args.next().and_then(|v| v.parse().ok());
-        }
-    }
-    repeats
-        .or_else(|| std::env::var("ISDC_BATCH_REPEAT").ok().and_then(|v| v.parse().ok()))
-        .map_or(1, |n: usize| n.max(1))
-}
-
-/// Runs a timed configuration `repeats` times and keeps the run with the
-/// median wall-clock (upper median for even N), so the reported document
-/// is an actual measured run, internally consistent — not a blend.
-fn median_run<E>(
-    repeats: usize,
-    mut run: impl FnMut() -> Result<BatchReport, E>,
-) -> Result<BatchReport, E> {
-    let mut reports: Vec<BatchReport> = (0..repeats).map(|_| run()).collect::<Result<_, _>>()?;
-    reports.sort_by_key(|r| r.elapsed);
-    let mid = reports.len() / 2;
-    Ok(reports.swap_remove(mid))
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::var_os("ISDC_BATCH_QUICK").is_some();
-    let repeats = parse_repeats();
     let suite = isdc_benchsuite::suite();
     let points = if quick { 4 } else { 10 };
     let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
@@ -109,61 +74,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let total_points: usize = jobs.iter().map(Job::planned_points).sum();
     println!(
-        "{} designs x {points} periods = {total_points} runs ({}, {hardware} hardware threads, \
-         median of {repeats})",
+        "{} designs x {points} periods = {total_points} runs ({}, {hardware} hardware threads)",
         designs.len(),
         if quick { "quick" } else { "full" },
     );
 
     // Serial session sweep: the baseline every speedup is measured against
     // and every schedule is compared against.
-    let serial = median_run(repeats, || serial_reference(&designs, &jobs, &model, &oracle))?;
+    let serial = serial_reference(&designs, &jobs, &model, &oracle)?;
     println!("serial session sweep: {:.2?}", serial.elapsed);
 
     // Independent cold runs (`incremental: false`, no cache, no session):
     // the paper-faithful reference semantics, for the long-lever speedup.
-    let mut cold_samples = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let cold_start = std::time::Instant::now();
-        for ((design, job), serial_job) in designs.iter().zip(&jobs).zip(&serial.jobs) {
-            let isdc_batch::JobKind::Sweep { periods } = &job.kind else { unreachable!() };
-            let cold_points = isdc_core::sweep_clock_period_cold(
-                &design.graph,
-                &model,
-                &oracle,
-                &design.base,
-                periods,
-            )?;
-            for (c, s) in cold_points.iter().zip(&serial_job.points) {
-                assert_eq!(
-                    c.schedule, s.schedule,
-                    "{} at {}ps: serial session diverged from the cold reference",
-                    design.name, c.clock_period_ps
-                );
-            }
+    let cold_start = std::time::Instant::now();
+    for ((design, job), serial_job) in designs.iter().zip(&jobs).zip(&serial.jobs) {
+        let isdc_batch::JobKind::Sweep { periods } = &job.kind else { unreachable!() };
+        let cold_points = isdc_core::sweep_clock_period_cold(
+            &design.graph,
+            &model,
+            &oracle,
+            &design.base,
+            periods,
+        )?;
+        for (c, s) in cold_points.iter().zip(&serial_job.points) {
+            assert_eq!(
+                c.schedule, s.schedule,
+                "{} at {}ps: serial session diverged from the cold reference",
+                design.name, c.clock_period_ps
+            );
         }
-        cold_samples.push(cold_start.elapsed());
     }
-    cold_samples.sort();
-    let cold_total = cold_samples[cold_samples.len() / 2];
+    let cold_total = cold_start.elapsed();
     println!("independent cold runs: {cold_total:.2?}");
 
-    let mut scaling: Vec<ScalingRow> = Vec::new();
     let mut last: Option<BatchReport> = None;
     for &threads in thread_counts {
-        let report = median_run(repeats, || {
-            // Every repeat starts from its own cold shared cache, like the
-            // thread counts themselves, so repeats measure the same thing.
-            let cache = Arc::new(DelayCache::new());
-            let options = BatchOptions { threads, shard_points: 0, ..Default::default() };
-            run_batch(&designs, &jobs, &options, &model, &oracle, &cache)
-        })?;
+        // Every thread count starts from its own cold shared cache, so the
+        // thread counts compete fairly.
+        let cache = Arc::new(DelayCache::new());
+        let options = BatchOptions { threads, shard_points: 0, ..Default::default() };
+        let report = run_batch(&designs, &jobs, &options, &model, &oracle, &cache)?;
         // Execution failures surface per job since the fault-tolerance
-        // rework; a bench run tolerates none (and the rendered document's
-        // jobs_failed/jobs_retried/jobs_timed_out fields attest it to the
-        // gate).
+        // rework; an acceptance run tolerates none.
         assert!(report.all_ok(), "batch @ {threads} threads had failed jobs");
-        assert_eq!(report.jobs_retried(), 0, "a bench must not need retries");
+        assert_eq!(report.jobs_retried(), 0, "an acceptance run must not need retries");
         assert_eq!(report.jobs_timed_out(), 0, "no deadlines are armed, nothing may time out");
         assert_bit_identical(&report, &serial, threads);
         println!(
@@ -175,7 +129,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.shards,
             report.cache_hit_rate() * 100.0,
         );
-        scaling.push(ScalingRow { threads, total: report.elapsed });
         last = Some(report);
     }
     let report = last.expect("at least one thread count measured");
@@ -193,19 +146,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let doc = BatchBenchDoc {
-        mode: if quick { "quick" } else { "full" },
-        designs: designs.len(),
-        report: &report,
-        hardware_threads: hardware,
-        repeats,
-        serial_total: Some(serial.elapsed),
-        cold_total: Some(cold_total),
-        scaling: &scaling,
-        bit_identical: true,
-    };
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_batch.json");
-    std::fs::write(&out, render_batch_json(&doc))?;
-    println!("wrote {}", out.display());
     Ok(())
 }

@@ -17,24 +17,22 @@
 //! Both baselines run `run_isdc` with its defaults, per-iteration oracle
 //! metrics included — that is what a user doing per-point runs gets —
 //! while the session sweep skips those metrics on non-final points
-//! (`IsdcConfig::iteration_metrics`). The speedups therefore measure the
-//! *product* gap (session sweep vs naive per-point runs), not the solver
-//! in isolation; `BENCH_solver.json` holds the engine-only comparison.
+//! (`IsdcConfig::iteration_metrics`). The printed speedups therefore
+//! measure the *product* gap (session sweep vs naive per-point runs), not
+//! the solver in isolation.
 //!
 //! The program verifies bit-identity against both baselines point by
-//! point, prints per-run reuse statistics, and writes `BENCH_sweep.json`
-//! at the workspace root.
+//! point and prints per-run reuse statistics.
 //!
 //! Run with: `cargo run --example period_sweep --release`
 //! (`ISDC_SWEEP_QUICK=1` shrinks the grid and iteration budget for CI.)
 
 use isdc_core::{
-    linear_grid, min_feasible_period, render_sweep_json, sweep_clock_period,
-    sweep_clock_period_cold, sweep_clock_period_independent, IsdcConfig, IsdcSession,
+    linear_grid, min_feasible_period, sweep_clock_period, sweep_clock_period_cold,
+    sweep_clock_period_independent, IsdcConfig, IsdcSession,
 };
 use isdc_synth::{OpDelayModel, SynthesisOracle};
 use isdc_techlib::TechLibrary;
-use std::path::Path;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -125,15 +123,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => println!("design infeasible even at {}ps", bench.clock_period_ps),
     }
 
-    let json = render_sweep_json(
-        bench.name,
-        g.len(),
-        if quick { "quick" } else { "full" },
-        &warm,
-        &[("cold", &cold), ("independent", &independent)],
-    );
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_sweep.json");
-    std::fs::write(&out, json)?;
-    println!("wrote {}", out.display());
     Ok(())
 }

@@ -38,7 +38,7 @@
 //!   --deadline <ms>       wall-clock budget; a cut-short sweep still prints
 //!                         and saves its completed prefix, then exits 4
 //!   --cache-capacity <n>  bound the session delay cache to n entries
-//!   --out <file>          write the sweep records as BENCH_sweep-style JSON
+//!   --out <file>          write the sweep records as JSON
 //!
 //! batch options (in addition to --iterations/--subgraphs/--scoring/--shape):
 //!   --jobs <spec.json>    job spec (see isdc-batch docs: sweep / min_period
@@ -57,7 +57,7 @@
 //!   --stall-timeout <ms>  cancel a worker whose heartbeat goes silent
 //!   --cache-capacity <n>  bound the fleet cache to n entries (LRU eviction)
 //!   --cache-file <file>   load/save the fleet-wide cache snapshot
-//!   --out <file>          write the batch report as BENCH_batch-style JSON;
+//!   --out <file>          write the batch report as JSON;
 //!                         failed jobs also dump their workers' flight-recorder
 //!                         tails to <out>.flight.jsonl
 //!
@@ -638,7 +638,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         println!("saved session snapshot (delays + potentials) to {}", path.display());
     }
     if let Some(out) = flag_value(args, "--out") {
-        let json = render_sweep_json(&name, g.len(), "cli", &sweep, &[]);
+        let json = render_sweep_json(&name, g.len(), &sweep);
         std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote {out}");
     }
@@ -656,8 +656,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads a report / BENCH JSON artifact into the flat `key -> number`
-/// map [`isdc::telemetry::attribute`] diffs.
+/// Reads a report, sweep or batch JSON artifact into the flat
+/// `key -> number` map [`isdc::telemetry::attribute`] diffs.
 fn flatten_json_file(path: &str) -> Result<std::collections::BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let flat = json::flatten(&json::parse(&text).map_err(|e| format!("{path}: {e}"))?);
@@ -674,11 +674,10 @@ fn flatten_json_file(path: &str) -> Result<std::collections::BTreeMap<String, f6
     Ok(if counters.is_empty() { flat } else { counters })
 }
 
-/// `report --baseline <old.json> <new.json>` diffs two report/BENCH
-/// artifacts and ranks the deltas by contribution to the wall-clock
-/// delta. `report (<design.ir>|--bench <name>) [sweep opts] [--out f]`
-/// runs a sweep and emits the structured run report (text; JSON with
-/// `--out`).
+/// `report --baseline <old.json> <new.json>` diffs two JSON artifacts
+/// and ranks the deltas by contribution to the wall-clock delta.
+/// `report (<design.ir>|--bench <name>) [sweep opts] [--out f]` runs a
+/// sweep and emits the structured run report (text; JSON with `--out`).
 fn cmd_report(args: &[String]) -> Result<(), String> {
     if let Some(pos) = args.iter().position(|a| a == "--baseline") {
         let (Some(old_path), Some(new_path)) = (args.get(pos + 1), args.get(pos + 2)) else {
@@ -757,8 +756,8 @@ fn report_snapshot_load(load: isdc::cache::SnapshotLoad, path: &std::path::Path)
 
 fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     use isdc::batch::{
-        parse_jobs, render_batch_json, run_batch, BatchBenchDoc, BatchDesign, BatchOptions,
-        FailPolicy, Job, JobKind, JobStatus, ScalingRow,
+        parse_jobs, render_batch_json, run_batch, BatchDesign, BatchOptions, FailPolicy, Job,
+        JobKind, JobStatus,
     };
     use std::sync::Arc;
 
@@ -937,18 +936,8 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         println!("saved fleet cache snapshot to {}", path.display());
     }
     if let Some(out) = flag_value(args, "--out") {
-        let doc = BatchBenchDoc {
-            mode: "cli",
-            designs: designs.len(),
-            report: &report,
-            hardware_threads: std::thread::available_parallelism().map_or(1, usize::from),
-            repeats: 1,
-            serial_total: None,
-            cold_total: None,
-            scaling: &[ScalingRow { threads: report.threads, total: report.elapsed }],
-            bit_identical: false,
-        };
-        std::fs::write(out, render_batch_json(&doc)).map_err(|e| format!("writing {out}: {e}"))?;
+        std::fs::write(out, render_batch_json(&report, designs.len()))
+            .map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote {out}");
         // Post-mortem artifact: every failed or timed-out job's flight
         // tail, one JSONL header line per job followed by its worker's

@@ -304,7 +304,7 @@ fn failed_jobs_carry_a_flight_tail_naming_the_fault_site() {
 }
 
 /// Fault-free runs attest zero across every robustness counter — the same
-/// invariant the bench gate enforces on `BENCH_batch.json`.
+/// invariant the `batch_sweep` acceptance example asserts.
 #[test]
 fn clean_runs_report_zero_fault_counters() {
     let _g = chaos_guard();

@@ -241,3 +241,27 @@ fn enabling_telemetry_does_not_perturb_schedules() {
         assert_eq!(q.schedule, t.schedule, "telemetry must not perturb the optimum");
     }
 }
+
+/// A run report answers "where did the time go": on crc32 at paper
+/// defaults (Fig. 7 metrics on), the stage rows, `oracle_metrics`
+/// included, cover at least 95% of the run's wall-clock.
+#[test]
+fn run_report_attributes_nearly_all_wall_clock() {
+    let _g = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let suite = isdc::benchsuite::suite();
+    let b = suite.iter().find(|b| b.name == "crc32").expect("crc32 in the suite");
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let config = IsdcConfig::paper_defaults(b.clock_period_ps);
+    let result = isdc::core::run_isdc(&b.graph, &model, &oracle, &config).expect("schedulable");
+    let report = telemetry::RunReport::from_frame(&result.metrics);
+    assert_eq!(report.total_ns, result.metrics.counter_or_zero("run/total_ns"));
+    assert!(
+        report.unattributed_ns() * 20 <= report.total_ns,
+        "{} of {} ns unattributed:\n{}",
+        report.unattributed_ns(),
+        report.total_ns,
+        report.render_text()
+    );
+}
